@@ -4,8 +4,9 @@ The algorithm is implemented as :meth:`repro.retratree.tree.ReTraTree.qut`
 because it is inseparable from the index it queries (reuse of stored
 per-chunk clusters, boundary re-clustering, representative-continuity
 merge).  This module is the algorithm-level entry point mirroring the
-paper's `SELECT QUT(D, Wi, We, tau, delta, t, d, gamma)` call signature;
-the SQL string form lives in :mod:`repro.mod.hermes`.
+paper's `SELECT QUT(D, Wi, We, tau, delta, t, d, gamma)` call signature
+and holds its one parameter mapping; the SQL string form in
+:mod:`repro.mod.hermes` parses into this call.
 """
 from __future__ import annotations
 
@@ -30,13 +31,13 @@ def qut_clustering(
     """Run QuT-Clustering over a built ReTraTree for window [wi, we].
 
     Parameters mirror the paper's SQL call (DESIGN.md mapping):
-    ``tau`` outlier-partition re-cluster threshold (applies to future
-    inserts), ``delta`` assignment/clustering radius, ``t`` minimum
-    sub-trajectory duration, ``d`` cross-chunk merge distance, ``gamma``
-    minimum cluster cardinality.  ``None`` keeps the tree's defaults.
+    ``delta`` assignment/clustering radius, ``t`` minimum sub-trajectory
+    duration, ``d`` cross-chunk merge distance, ``gamma`` minimum cluster
+    cardinality; ``None`` keeps the tree's defaults.  ``tau``, the
+    outlier-partition re-cluster threshold, is the tree's build/insert-time
+    property (``ReTraTree.tau``); it is accepted for the call signature
+    and does not affect the query, which leaves the tree unchanged.
     """
-    if tau is not None:
-        tree.tau = int(tau)
     overrides = {}
     if delta is not None:
         overrides["eps"] = float(delta)

@@ -204,13 +204,9 @@ class GiST:
                 stack.extend(node.children)
         return n
 
-    def __getstate__(self):
+    def __reduce__(self):
         # parent back-pointers create reference cycles that blow the
         # pickle recursion limit for deep trees; rebuild them on load.
-        state = self.__dict__.copy()
-        return state
-
-    def __reduce__(self):
         keys, values = self._dump_entries()
         return (_rebuild_gist, (self.ext, self.M, self.m, keys, values))
 

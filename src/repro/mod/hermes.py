@@ -6,11 +6,12 @@ The demo exposes clustering through the MOD engine's SQL interface:
     SELECT QUT(D, Wi, We, tau, delta, t, d, gamma);
 
 This module is the PySpark-side equivalent: a tiny dispatcher that (a)
-recognises the ``QUT(...)`` call and routes it to a registered
-:class:`~repro.retratree.tree.ReTraTree` with the parameter mapping of
-DESIGN.md, and (b) passes every other statement to Spark SQL over the
-registered MOD views, where the "legacy operands" (trajectory datatype
-helpers registered as Spark SQL functions) are available:
+recognises the ``QUT(...)`` call and routes it through
+:func:`repro.core.qut.qut_clustering` to a registered
+:class:`~repro.retratree.tree.ReTraTree`, and (b) passes every other
+statement to Spark SQL over the registered MOD views, where the "legacy
+operands" (trajectory datatype helpers registered as Spark SQL
+functions) are available:
 
 - ``seg_length(x1, y1, x2, y2)`` — segment length (km);
 - ``seg_speed(t1, x1, y1, t2, x2, y2)`` — segment speed (km/s);
@@ -22,12 +23,12 @@ temp views; tests oracle-check the operands against DuckDB SQL.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.qut import qut_clustering
 from repro.mod.model import points_to_segments
 from repro.retratree.tree import QuTResult, ReTraTree
 
@@ -96,11 +97,11 @@ class Hermes:
     def _run_qut(self, dataset: str, argstr: str) -> QuTResult:
         """Parameter order per the paper: QUT(D, Wi, We, tau, delta, t, d, gamma).
 
-        ``tau`` is a build-time property of the attached ReTraTree (the
-        partition re-cluster threshold); a differing value here is
-        applied to the tree for subsequent inserts.  ``delta``/``t``/
-        ``gamma`` override the S2T parameters used for boundary
-        re-clustering; ``d`` is the cross-chunk merge distance.
+        Parses the arguments and calls :func:`qut_clustering`, which maps
+        them: ``delta``/``t``/``gamma`` override the S2T parameters used
+        for boundary re-clustering and ``d`` is the cross-chunk merge
+        distance.  ``tau`` is the attached ReTraTree's build/insert-time
+        re-cluster threshold; the query does not change it.
         """
         if dataset not in self.trees:
             raise KeyError(f"no ReTraTree attached for dataset {dataset!r}")
@@ -110,15 +111,8 @@ class Hermes:
                 "QUT expects 8 arguments: D, Wi, We, tau, delta, t, d, gamma"
             )
         wi, we, tau, delta, t_min, d_merge, gamma = (float(a) for a in args)
-        tree = self.trees[dataset]
-        tree.tau = int(tau)
-        qparams = replace(
-            tree.params,
-            eps=delta,
-            min_duration=t_min,
-            min_cluster_size=int(gamma),
-        )
-        return tree.qut(wi, we, d_merge=d_merge, params=qparams)
+        return qut_clustering(self.trees[dataset], wi, we, tau=int(tau), delta=delta,
+                              t=t_min, d=d_merge, gamma=int(gamma))
 
 
 def qut_rows_to_df(spark: SparkSession, result: QuTResult) -> DataFrame:

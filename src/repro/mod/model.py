@@ -68,8 +68,8 @@ def trajectory_extents(points: DataFrame) -> DataFrame:
     """Per-trajectory temporal/spatial extents: one row per ``traj_id``.
 
     Columns: traj_id, t_min, t_max, x_min, x_max, y_min, y_max, n_points.
-    Used by ReTraTree chunk assignment and by the generators' sanity
-    tests (oracle-checked — it is a plain aggregation).
+    A MOD summary for the generators' sanity tests (oracle-checked — it
+    is a plain aggregation).
     """
     return points.groupBy("traj_id").agg(
         F.min("t").alias("t_min"),
@@ -90,11 +90,6 @@ def temporal_range(points: DataFrame, t_start: float, t_end: float) -> DataFrame
     oracle-checked against the identical DuckDB predicate.
     """
     return points.where((F.col("t") >= F.lit(t_start)) & (F.col("t") <= F.lit(t_end)))
-
-
-def clip_points_to_window(points: DataFrame, t_start: float, t_end: float) -> DataFrame:
-    """Alias of :func:`temporal_range` kept for call-site readability."""
-    return temporal_range(points, t_start, t_end)
 
 
 def collect_polylines(points: DataFrame) -> pd.DataFrame:

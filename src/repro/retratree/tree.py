@@ -9,9 +9,9 @@ Mapping here:
 
 - **Level 1** — disjoint temporal *chunks* of width ``chunk_width``
   (aligned to multiples of the width).
-- **Level 2** — ``n_subchunks`` equal temporal *sub-chunks* per chunk;
-  member rows carry their sub-chunk id so partial-window work touches
-  only overlapping sub-chunks.
+- **Level 2** — the row-level time predicate of the boundary-slice read:
+  a boundary chunk's member rows are clipped to the window and only rows
+  keeping at least two points there are re-clustered.
 - **Level 3** — per chunk, the list of *representative sub-trajectories*
   (the in-memory part of the structure in Fig. 2) produced by running
   S2T-Clustering on the chunk.
@@ -43,7 +43,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.distance import sync_distance_to_many
-from repro.core.s2t import S2TParams, S2TResult, s2t_clustering
+from repro.core.s2t import S2TParams, s2t_clustering
+from repro.core.sampling import Representative
 from repro.core.subtraj import subtrajs_to_pandas
 from repro.mod.model import make_points_df
 from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION, PartitionStore
@@ -74,12 +75,11 @@ class RepEntry:
 
 @dataclass
 class ChunkEntry:
-    """Level-1/2 entry: a temporal chunk and its directory state."""
+    """Level-1 entry: a temporal chunk and its directory state."""
 
     chunk_id: int
     t_lo: float
     t_hi: float
-    n_subchunks: int
     reps: list[RepEntry] = field(default_factory=list)
     outlier_count: int = 0
 
@@ -102,22 +102,15 @@ class QuTResult:
     def point_labels(self) -> pd.DataFrame:
         """Explode polylines to per-point labels (traj_id, t, cluster_id
         int; outliers -1) — the frame Table A's parity check consumes."""
-        keys = {k: i for i, k in enumerate(
-            sorted({c for c in self.rows["cluster"] if c is not None})
-        )}
-        out = []
-        for _, r in self.rows.iterrows():
-            lab = keys.get(r["cluster"], -1) if r["cluster"] is not None else -1
-            out.append(pd.DataFrame({
-                "traj_id": np.int64(r["traj_id"]),
-                "t": np.asarray(r["ts"], dtype=np.float64),
-                "cluster_id": np.int64(lab),
-            }))
-        if not out:
-            return pd.DataFrame({"traj_id": pd.Series(dtype="int64"),
-                                 "t": pd.Series(dtype="float64"),
-                                 "cluster_id": pd.Series(dtype="int64")})
-        return pd.concat(out, ignore_index=True)
+        clusters = self.rows["cluster"]
+        keys = {k: i for i, k in enumerate(sorted({c for c in clusters if c is not None}))}
+        labels = np.array([keys.get(c, -1) for c in clusters], dtype=np.int64)
+        row, ts, _, _ = _explode(self.rows)
+        return pd.DataFrame({
+            "traj_id": self.rows["traj_id"].to_numpy(dtype=np.int64)[row],
+            "t": ts,
+            "cluster_id": labels[row],
+        })
 
 
 class _DSU:
@@ -153,16 +146,13 @@ class ReTraTree:
         *,
         chunk_width: float,
         tau: int = 50,
-        n_subchunks: int = 2,
     ):
         self.spark = spark
         self.store = PartitionStore(root)
         self.params = params
         self.chunk_width = float(chunk_width)
         self.tau = int(tau)
-        self.n_subchunks = int(n_subchunks)
         self.chunks: dict[int, ChunkEntry] = {}
-        self.build_timings: dict[str, float] = {}
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -175,7 +165,6 @@ class ReTraTree:
         *,
         chunk_width: float,
         tau: int = 50,
-        n_subchunks: int = 2,
     ) -> "ReTraTree":
         """Bulk-load: split the MOD at chunk boundaries and run
         S2T-Clustering per chunk, archiving members and outliers.
@@ -184,17 +173,14 @@ class ReTraTree:
         construction (each chunk clusters only its own samples) — the
         temporal partitioning of ReTraTree level 1.
         """
-        tree = cls(spark, root, params, chunk_width=chunk_width, tau=tau,
-                   n_subchunks=n_subchunks)
+        tree = cls(spark, root, params, chunk_width=chunk_width, tau=tau)
         t_min, t_max = points.selectExpr("min(t)", "max(t)").first()
         first = int(np.floor(t_min / chunk_width))
         last = int(np.floor((t_max - 1e-9) / chunk_width))
-        t0 = time.perf_counter()
         for cid in range(first, last + 1):
             lo, hi = cid * chunk_width, (cid + 1) * chunk_width
             cpts = points.where((points.t >= lo) & (points.t < hi))
             tree._cluster_chunk(cid, cpts)
-        tree.build_timings["build"] = time.perf_counter() - t0
         return tree
 
     def _chunk_entry(self, cid: int) -> ChunkEntry:
@@ -203,39 +189,35 @@ class ReTraTree:
                 chunk_id=cid,
                 t_lo=cid * self.chunk_width,
                 t_hi=(cid + 1) * self.chunk_width,
-                n_subchunks=self.n_subchunks,
             )
         return self.chunks[cid]
-
-    def _members_from_result(self, res: S2TResult) -> pd.DataFrame:
-        sub = subtrajs_to_pandas(res.subtrajs)
-        assign = res.clusters.toPandas()[["traj_id", "subtraj_id", "cluster_id"]]
-        return sub.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
-            {"cluster_id": -1}
-        )
 
     def _cluster_chunk(self, cid: int, cpts: DataFrame) -> None:
         """Run S2T on one chunk's points and archive the outcome."""
         entry = self._chunk_entry(cid)
         if cpts.limit(1).count() == 0:
             return
-        res = s2t_clustering(cpts, self.params)
-        members = self._members_from_result(res)
-        base_idx = len(entry.reps)
-        for r in res.reps:
+        self._archive(entry, *_run_s2t(cpts, self.params))
+
+    def _archive(
+        self, entry: ChunkEntry, members: pd.DataFrame, reps: list[Representative]
+    ) -> None:
+        """Write each representative's members to a new partition and the
+        rest to the chunk's outlier partition.  New partitions are named
+        past the chunk's highest ``rep_idx``, so they never overwrite a
+        live one."""
+        base_idx = max((r.rep_idx for r in entry.reps), default=-1) + 1
+        for r in reps:
             mine = members[members["cluster_id"] == r.rep_id]
-            if len(mine) == 0:
-                continue
             rep = RepEntry(
-                chunk_id=cid, rep_idx=base_idx + r.rep_id,
+                chunk_id=entry.chunk_id, rep_idx=base_idx + r.rep_id,
                 ts=r.ts, xs=r.xs, ys=r.ys, score=r.score, n_members=len(mine),
             )
-            self.store.write(cid, rep.partition, mine[MEMBER_COLS])
+            self.store.write(entry.chunk_id, rep.partition, mine[MEMBER_COLS])
             entry.reps.append(rep)
         outl = members[members["cluster_id"] == -1]
-        self.store.write(cid, OUTLIER_PARTITION, outl[MEMBER_COLS])
+        self.store.write(entry.chunk_id, OUTLIER_PARTITION, outl[MEMBER_COLS])
         entry.outlier_count = len(outl)
-        res.unpersist()
 
     # ----------------------------------------------------------------- insert
     def insert(self, points: DataFrame | pd.DataFrame) -> dict:
@@ -290,29 +272,11 @@ class ReTraTree:
     def _recluster_outliers(self, cid: int) -> None:
         """S2T over a chunk's outlier partition; new representatives are
         back-propagated, their members archived, residue stays outlier."""
-        entry = self.chunks[cid]
         outl = self.store.read(cid, OUTLIER_PARTITION)
         if len(outl) < 2:
             return
         pts, id_map = _members_to_points(self.spark, outl)
-        res = s2t_clustering(pts, self.params)
-        members = self._members_from_result(res)
-        members["traj_id"] = members["traj_id"].map(id_map)
-        base_idx = len(entry.reps)
-        for r in res.reps:
-            mine = members[members["cluster_id"] == r.rep_id]
-            if len(mine) == 0:
-                continue
-            rep = RepEntry(
-                chunk_id=cid, rep_idx=base_idx + r.rep_id,
-                ts=r.ts, xs=r.xs, ys=r.ys, score=r.score, n_members=len(mine),
-            )
-            self.store.write(cid, rep.partition, mine[MEMBER_COLS])
-            entry.reps.append(rep)
-        residue = members[members["cluster_id"] == -1]
-        self.store.write(cid, OUTLIER_PARTITION, residue[MEMBER_COLS])
-        entry.outlier_count = len(residue)
-        res.unpersist()
+        self._archive(self.chunks[cid], *_run_s2t(pts, self.params, id_map))
 
     # -------------------------------------------------------------------- qut
     def qut(
@@ -374,21 +338,13 @@ class ReTraTree:
                 slabs.append(slab)
                 bounds.append((lo, hi))
         if slabs:
-            allslab = pd.concat(slabs, ignore_index=True)
-            pts, id_map = _members_to_points(self.spark, allslab)
-            res = s2t_clustering(pts, qparams)
-            members = self._members_from_result(res)
-            members["traj_id"] = members["traj_id"].map(id_map)
+            pts, id_map = _members_to_points(self.spark, pd.concat(slabs, ignore_index=True))
+            members, live_reps = _run_s2t(pts, qparams, id_map)
             members["cluster"] = [
                 f"b:rep-{int(k)}" if k >= 0 else OUTLIER_KEY
                 for k in members["cluster_id"]
             ]
-            live = {
-                f"b:rep-{r.rep_id}": r
-                for r in res.reps
-                if (members["cluster"] == f"b:rep-{r.rep_id}").any()
-            }
-            res.unpersist()
+            live = {f"b:rep-{r.rep_id}": r for r in live_reps}
             # split rows/reps back into per-boundary regions (a rep lives
             # in the region containing its polyline start)
             for lo, hi in bounds:
@@ -421,42 +377,27 @@ class ReTraTree:
         )
 
     def _read_chunk_slice(self, c: ChunkEntry, lo: float, hi: float) -> pd.DataFrame:
-        """All member rows of a chunk clipped to [lo, hi], reading only
-        overlapping sub-chunks' rows (level-2 pruning)."""
-        sub_w = (c.t_hi - c.t_lo) / c.n_subchunks
-        wanted = [
-            (c.t_lo + k * sub_w, c.t_lo + (k + 1) * sub_w)
-            for k in range(c.n_subchunks)
-            if c.t_lo + k * sub_w < hi and c.t_lo + (k + 1) * sub_w > lo
-        ]
-        frames = []
-        for name in self.store.list_partitions(c.chunk_id):
-            mem = self.store.read(c.chunk_id, name)
-            if len(mem) == 0:
-                continue
-            t_s = mem["t_start"].to_numpy(dtype=np.float64)
-            t_e = mem["t_end"].to_numpy(dtype=np.float64)
-            # keep rows whose [t_start, t_end] overlaps any wanted sub-chunk
-            keep = np.zeros(len(mem), dtype=bool)
-            for s_lo, s_hi in wanted:
-                keep |= (t_s < s_hi) & (t_e > s_lo)
-            mem = mem[keep]
-            frames.append(mem)
+        """All member rows of a chunk clipped to [lo, hi], keeping the rows
+        with at least two points there (level 2)."""
+        frames = [self.store.read(c.chunk_id, name)
+                  for name in self.store.list_partitions(c.chunk_id)]
+        frames = [f for f in frames if len(f)]
         if not frames:
             return _empty_members()
-        out = pd.concat(frames, ignore_index=True)
-        clipped = []
-        for _, r in out.iterrows():
-            ts = np.asarray(r["ts"]); m = (ts >= lo) & (ts <= hi)
-            if m.sum() < 2:
-                continue
-            clipped.append({
-                "traj_id": r["traj_id"], "subtraj_id": r["subtraj_id"],
-                "t_start": float(ts[m][0]), "t_end": float(ts[m][-1]),
-                "sum_vote": r["sum_vote"],
-                "ts": ts[m], "xs": np.asarray(r["xs"])[m], "ys": np.asarray(r["ys"])[m],
-            })
-        return pd.DataFrame(clipped, columns=MEMBER_COLS) if clipped else _empty_members()
+        rows = pd.concat(frames, ignore_index=True)
+        row, ts, xs, ys = _explode(rows, lo, hi)
+        n = np.bincount(row, minlength=len(rows))
+        kept = np.flatnonzero(n >= 2)
+        if not len(kept):
+            return _empty_members()
+        keep = n[row] >= 2
+        ts, xs, ys, n = ts[keep], xs[keep], ys[keep], n[kept]
+        first = np.cumsum(n) - n
+        out = rows.iloc[kept].reset_index(drop=True)
+        out["t_start"], out["t_end"] = ts[first], ts[first + n - 1]
+        for col, a in (("ts", ts), ("xs", xs), ("ys", ys)):
+            out[col] = pd.Series(np.split(a, first[1:]), dtype=object)
+        return out[MEMBER_COLS]
 
 
 def _empty_members() -> pd.DataFrame:
@@ -464,30 +405,59 @@ def _empty_members() -> pd.DataFrame:
     return pdf
 
 
+def _explode(
+    rows: pd.DataFrame, lo: float = -np.inf, hi: float = np.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten the ts/xs/ys polylines of ``rows`` into point arrays, in
+    row order, keeping the points with ``lo <= t <= hi``.
+
+    Returns ``(row, ts, xs, ys)``: ``row`` is the position in ``rows`` of
+    each point's row.
+    """
+    n = np.array([len(a) for a in rows["ts"]], dtype=np.int64)
+    row = np.repeat(np.arange(len(rows)), n)
+    ts, xs, ys = (np.concatenate([np.empty(0), *rows[c]]).astype(np.float64, copy=False)
+                  for c in ("ts", "xs", "ys"))
+    keep = (ts >= lo) & (ts <= hi)
+    return row[keep], ts[keep], xs[keep], ys[keep]
+
+
 def _members_to_points(
     spark: SparkSession, members: pd.DataFrame
-) -> tuple[DataFrame, dict[int, int]]:
+) -> tuple[DataFrame, np.ndarray]:
     """Explode member polylines back into a Spark points DataFrame.
 
     Distinct sub-trajectories of the same trajectory get distinct
-    synthetic traj_ids so S2T treats them independently (they may be
-    separated by data the window excluded).  Returns the points plus the
-    synthetic-id -> original-traj-id mapping, which callers MUST apply
-    to any traj_id column derived from the S2T result.
+    synthetic traj_ids (their row positions) so S2T treats them
+    independently (they may be separated by data the window excluded).
+    Returns the points plus the synthetic-id -> original-traj-id array,
+    which callers MUST apply to any traj_id column derived from the S2T
+    result (see :func:`_run_s2t`).
     """
-    out = []
-    id_map: dict[int, int] = {}
-    for k, (_, r) in enumerate(members.iterrows()):
-        id_map[k] = int(r["traj_id"])
-        out.append(pd.DataFrame({
-            "obj_id": np.int64(r["traj_id"]),
-            "traj_id": np.int64(k),
-            "t": np.asarray(r["ts"], dtype=np.float64),
-            "x": np.asarray(r["xs"], dtype=np.float64),
-            "y": np.asarray(r["ys"], dtype=np.float64),
-        }))
-    pdf = pd.concat(out, ignore_index=True)
-    return make_points_df(spark, pdf), id_map
+    row, ts, xs, ys = _explode(members)
+    traj = members["traj_id"].to_numpy(dtype=np.int64)
+    pdf = pd.DataFrame({"obj_id": traj[row], "traj_id": row, "t": ts, "x": xs, "y": ys})
+    return make_points_df(spark, pdf), traj
+
+
+def _run_s2t(
+    points: DataFrame, params: S2TParams, id_map: np.ndarray | None = None
+) -> tuple[pd.DataFrame, list[Representative]]:
+    """S2T over ``points``: its sub-trajectories as member rows with their
+    ``cluster_id`` (-1 for outliers), and the representatives that kept
+    members.  ``id_map`` maps synthetic traj_ids back to the original ones
+    (from :func:`_members_to_points`)."""
+    res = s2t_clustering(points, params)
+    sub = subtrajs_to_pandas(res.subtrajs)
+    assign = res.clusters.toPandas()[["traj_id", "subtraj_id", "cluster_id"]]
+    members = sub.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
+        {"cluster_id": -1}
+    )
+    res.unpersist()
+    if id_map is not None:
+        members["traj_id"] = id_map[members["traj_id"].to_numpy()]
+    live = set(members["cluster_id"])
+    return members, [r for r in res.reps if r.rep_id in live]
 
 
 def _merge_regions(regions: list[dict], d_merge: float, t_gap: float) -> _DSU:

@@ -85,7 +85,9 @@ def test_qut_wrong_arity(hermes):
 
 
 def test_qut_via_sql_runs(hermes, retratree):
-    res = hermes.sql("SELECT QUT('mod', 900, 6300, 5, 3.0, 0, 3.0, 2);")
+    tau = retratree.tau
+    res = hermes.sql(f"SELECT QUT('mod', 900, 6300, {tau + 4}, 3.0, 0, 3.0, 2);")
+    assert retratree.tau == tau  # a query leaves the tree's insert-time tau alone
     assert isinstance(res, QuTResult)
     assert len(res.rows) > 0
     assert res.n_full + res.n_partial >= 2

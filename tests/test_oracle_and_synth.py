@@ -1,6 +1,5 @@
 """Sanity of the provided substrate: the DuckDB oracle catches wrong
-results, and the TPC-H-lite + trajectory generators are deterministic
-and well-typed."""
+results, and the trajectory generator is deterministic and well-typed."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,57 +10,31 @@ from pyspark.sql import functions as F
 from repro import synth_data
 from repro.oracle import assert_equivalent
 
+_PER_LABEL = "SELECT gt_label, count(*) AS n, max(t) AS t_max FROM mod GROUP BY gt_label"
+
 
 # ------------------------------------------------------------------- oracle
-def test_oracle_accepts_identical_aggregation(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("qty"), F.count(F.lit(1)).alias("n")
+def test_oracle_accepts_identical_aggregation(mod_points, mod_pdf):
+    got = mod_points.groupBy("gt_label").agg(
+        F.count(F.lit(1)).alias("n"), F.max("t").alias("t_max")
     )
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, sum(l_quantity) AS qty, count(*) AS n "
-        "FROM li GROUP BY l_returnflag",
-        li=li,
-    )
+    assert_equivalent(got, _PER_LABEL, mod=mod_pdf)
 
 
-def test_oracle_rejects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg((F.sum("l_quantity") + 1).alias("qty"))
+def test_oracle_rejects_wrong_result(mod_points, mod_pdf):
+    wrong = mod_points.groupBy("gt_label").agg(
+        (F.count(F.lit(1)) + 1).alias("n"), F.max("t").alias("t_max")
+    )
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, sum(l_quantity) AS qty FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(wrong, _PER_LABEL, mod=mod_pdf)
 
 
-def test_oracle_rejects_column_mismatch(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(F.sum("l_quantity").alias("quantity"))
+def test_oracle_rejects_column_mismatch(mod_points, mod_pdf):
+    got = mod_points.groupBy("gt_label").agg(
+        F.count(F.lit(1)).alias("n_points"), F.max("t").alias("t_max")
+    )
     with pytest.raises(AssertionError, match="column mismatch"):
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, sum(l_quantity) AS qty FROM li GROUP BY l_returnflag",
-            li=li,
-        )
-
-
-@pytest.mark.parametrize("gen", ["lineitem", "orders", "customer", "part"])
-def test_tpch_lite_deterministic(spark, gen):
-    fn = getattr(synth_data, gen)
-    a = fn(spark, sf=0.001).toPandas()
-    b = fn(spark, sf=0.001).toPandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
-@pytest.mark.parametrize("n_keys,alpha", [(10, 1.1), (100, 1.5)])
-def test_zipf_keys_skewed(spark, n_keys, alpha):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=n_keys, alpha=alpha).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.index[0] == 1  # rank-1 key is the most frequent
-    assert counts.iloc[0] > counts.iloc[-1]
+        assert_equivalent(got, _PER_LABEL, mod=mod_pdf)
 
 
 # ------------------------------------------------------- trajectory generator

@@ -2,6 +2,8 @@
 QuT-Clustering answer parity with the from-scratch baseline."""
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,8 +12,9 @@ from repro.baselines.qut_baseline import qut_baseline
 from repro.core.s2t import S2TParams
 from repro.eval.quality import adjusted_rand_index
 from repro.mod.model import make_points_df
-from repro.retratree.storage import OUTLIER_PARTITION
-from repro.retratree.tree import ReTraTree
+from repro.retratree import tree as tree_mod
+from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION
+from repro.retratree.tree import QuTResult, ReTraTree, _empty_members
 from tests.conftest import TEST_PARAMS
 
 
@@ -118,6 +121,50 @@ def test_insert_assignment_path(spark, tmp_path):
     assert 99_000 in set(mem["traj_id"])
 
 
+def _row_keys(rows):
+    """Multiset of (traj_id, first t, last t, length) over member rows."""
+    return Counter((int(tid), float(ts[0]), float(ts[-1]), len(ts))
+                   for tid, ts in zip(rows["traj_id"], rows["ts"]))
+
+
+def test_recluster_never_overwrites_a_live_partition(spark, tmp_path, monkeypatch):
+    """The build's rep 0 is dissolved (its rows turned outliers), leaving a
+    gap in the chunk's rep_idx; the outlier re-cluster must name its new
+    partitions past the highest live one, so no stored row is lost or
+    read twice."""
+    from pyspark.sql import functions as F
+
+    real = tree_mod.s2t_clustering
+
+    def dissolve_rep0(points, params):
+        res = real(points, params)
+        cid = F.col("cluster_id")
+        res.clusters = res.clusters.withColumn("cluster_id", F.when(cid == 0, -1).otherwise(cid))
+        return res
+
+    two_bundles = _co_moving_batch(spark, 3, t0=0.0, base_id=0, x0=0.0).union(
+        _co_moving_batch(spark, 3, t0=0.0, base_id=100, x0=100.0))
+    monkeypatch.setattr(tree_mod, "s2t_clustering", dissolve_rep0)
+    tree = ReTraTree.build(
+        spark, two_bundles, tmp_path / "gap", TEST_PARAMS, chunk_width=400.0, tau=4
+    )
+    monkeypatch.setattr(tree_mod, "s2t_clustering", real)
+    c0 = tree.chunks[0]
+    assert [r.rep_idx for r in c0.reps] == [1]  # rep 0 gone: a gap in rep_idx
+
+    stats = tree.insert(_co_moving_batch(spark, 3, t0=0.0, x0=200.0))
+    assert stats["reclustered_chunks"] == 1
+    partitions = [r.partition for r in c0.reps]
+    assert len(partitions) > 1
+    assert len(set(partitions)) == len(partitions)
+
+    qr = tree.qut(c0.t_lo, c0.t_hi)
+    stored = sum((_row_keys(tree.store.read(0, name))
+                  for name in tree.store.list_partitions(0)), Counter())
+    assert _row_keys(qr.rows) == stored
+    assert set(qr.rows["traj_id"]) == {0, 1, 2, 100, 101, 102, 10_000, 10_001, 10_002}
+
+
 def test_insert_short_piece_ignored(spark, tmp_path):
     base = _co_moving_batch(spark, 3, t0=0.0, base_id=0, x0=0.0)
     tree = ReTraTree.build(
@@ -185,9 +232,67 @@ def test_qut_interior_window_reclusters_boundaries(retratree):
     assert qr.n_full == 1 and qr.n_partial == 2
 
 
+@pytest.mark.parametrize("side", ["after", "before"])
+def test_qut_window_outside_chunks_is_empty(retratree, side):
+    t_lo = min(c.t_lo for c in retratree.chunks.values())
+    t_hi = max(c.t_hi for c in retratree.chunks.values())
+    wi, we = (t_hi + 10.0, t_hi + 500.0) if side == "after" else (t_lo - 500.0, t_lo - 10.0)
+    qr = retratree.qut(wi, we)
+    assert qr.n_full == 0 and qr.n_partial == 0
+    assert len(qr.rows) == 0
+    assert len(qr.point_labels()) == 0
+
+
 def test_qut_timings_keys(retratree):
     qr = retratree.qut(0.0, retratree.chunk_width)
     assert set(qr.timings) == {"reuse", "recluster", "merge", "total"}
+
+
+def _labels(traj, t, cluster):
+    return pd.DataFrame({"traj_id": np.asarray(traj, dtype=np.int64),
+                         "t": np.asarray(t, dtype=np.float64),
+                         "cluster_id": np.asarray(cluster, dtype=np.int64)})
+
+
+_TWO_ROWS = pd.DataFrame({
+    "traj_id": [7, 3], "cluster": ["c1:rep-0", None],
+    "ts": [np.array([1.0, 2.0, 3.0]), np.array([5.0, 6.0])],
+    "xs": [np.zeros(3), np.ones(2)], "ys": [np.zeros(3), np.ones(2)],
+})
+
+
+@pytest.mark.parametrize("rows,expected", [
+    (_empty_members()[["traj_id", "cluster", "ts", "xs", "ys"]], _labels([], [], [])),
+    (_TWO_ROWS, _labels([7, 7, 7, 3, 3], [1, 2, 3, 5, 6], [0, 0, 0, -1, -1])),
+], ids=["empty", "two_rows"])
+def test_point_labels_rows_order_dtypes(rows, expected):
+    got = QuTResult(rows=rows, timings={}, n_full=0, n_partial=0).point_labels()
+    pd.testing.assert_frame_equal(got, expected)
+
+
+def test_read_chunk_slice_keeps_rows_with_two_points(tmp_path):
+    """Rows are clipped to [lo, hi] (bounds inclusive); a row keeping
+    fewer than two points is dropped."""
+    tree = ReTraTree(None, tmp_path, TEST_PARAMS, chunk_width=100.0)
+
+    def member(tid, ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        return {"traj_id": tid, "subtraj_id": 0, "t_start": ts[0], "t_end": ts[-1],
+                "sum_vote": 1.0, "ts": ts, "xs": ts + 0.5, "ys": -ts}
+
+    tree.store.write(0, "rep-0", pd.DataFrame([
+        member(1, [10, 20, 30, 40]), member(2, [10, 16, 50]), member(3, [36, 37]),
+    ], columns=MEMBER_COLS))
+    tree.store.write(0, OUTLIER_PARTITION, pd.DataFrame([member(4, [14, 15, 35, 36])]))
+    got = tree._read_chunk_slice(tree._chunk_entry(0), 15.0, 35.0)
+    # partitions are read in name order: "outliers" before "rep-0"
+    assert list(got.columns) == MEMBER_COLS
+    assert got["traj_id"].tolist() == [4, 1]
+    assert got["t_start"].tolist() == [15.0, 20.0]
+    assert got["t_end"].tolist() == [35.0, 30.0]
+    for col, f in (("ts", lambda t: t), ("xs", lambda t: t + 0.5), ("ys", lambda t: -t)):
+        assert [a.tolist() for a in got[col]] == [f(np.array([15.0, 35.0])).tolist(),
+                                                 f(np.array([20.0, 30.0])).tolist()]
 
 
 def test_baseline_timings_structure(spark, mod_points):

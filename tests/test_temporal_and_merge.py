@@ -123,8 +123,9 @@ def test_merge_chain_across_three_regions():
 def test_qut_clustering_api(retratree):
     from repro.core.qut import qut_clustering
 
-    res = qut_clustering(retratree, 900.0, 6300.0, d=3.0, gamma=2, tau=7)
-    assert retratree.tau == 7
+    tau = retratree.tau
+    res = qut_clustering(retratree, 900.0, 6300.0, d=3.0, gamma=2, tau=tau + 2)
+    assert retratree.tau == tau  # queries are read-only; tau is insert-time
     assert len(res.rows) > 0
     assert res.n_full + res.n_partial >= 2
 
