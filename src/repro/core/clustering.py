@@ -102,10 +102,3 @@ def assign_clusters(
             .drop("csize")
         )
     return assigned
-
-
-def cluster_sizes(assigned: DataFrame) -> DataFrame:
-    """Cluster cardinalities (outliers included as cluster -1) — the
-    aggregation behind the demo's "evolution of cardinality" histogram;
-    oracle-checked in tests."""
-    return assigned.groupBy("cluster_id").agg(F.count(F.lit(1)).alias("n"))

@@ -116,18 +116,3 @@ def sample_representatives(
             novelty[j] = min(novelty[j], 1.0 - sim)
         novelty[i] = 0.0
     return picked
-
-
-def reps_to_pandas(reps: list[Representative]) -> pd.DataFrame:
-    """Representatives as a plain frame (for Spark broadcast / reporting)."""
-    return pd.DataFrame(
-        {
-            "rep_id": [r.rep_id for r in reps],
-            "traj_id": [r.traj_id for r in reps],
-            "subtraj_id": [r.subtraj_id for r in reps],
-            "score": [r.score for r in reps],
-            "ts": [r.ts.tolist() for r in reps],
-            "xs": [r.xs.tolist() for r in reps],
-            "ys": [r.ys.tolist() for r in reps],
-        }
-    )

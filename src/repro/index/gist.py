@@ -203,31 +203,3 @@ class GiST:
             if not node.is_leaf:
                 stack.extend(node.children)
         return n
-
-    def __reduce__(self):
-        # parent back-pointers create reference cycles that blow the
-        # pickle recursion limit for deep trees; rebuild them on load.
-        keys, values = self._dump_entries()
-        return (_rebuild_gist, (self.ext, self.M, self.m, keys, values))
-
-    def _dump_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """All leaf entries in tree order (for serialization/round-trip)."""
-        if self.root is None:
-            k = 0 if self._key_dim is None else self._key_dim
-            return np.empty((0, k)), np.empty(0, dtype=np.int64)
-        ks, vs = [], []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                ks.append(node.keys)
-                vs.append(node.values)
-            else:
-                stack.extend(reversed(node.children))
-        return np.vstack(ks), np.concatenate(vs)
-
-
-def _rebuild_gist(ext, M, m, keys, values):
-    t = GiST(ext, M, m)
-    t.bulk_load(keys, values)
-    return t

@@ -91,11 +91,12 @@ def str_order(boxes: np.ndarray, leaf_size: int) -> np.ndarray:
 class Rtree3D:
     """The pg3D-Rtree: a thin trajectory-flavoured wrapper over GiST.
 
-    ``bulk_load`` STR-packs boxes (the post-S2T partition indexing path);
-    ``insert`` routes single boxes (the ReTraTree incremental path);
-    ``query_box`` returns payload ids of boxes overlapping the query.
-    Instances pickle (entries are dumped and re-bulk-loaded), which is
-    how level-4 partitions persist their index beside the Parquet data.
+    ``bulk_load`` STR-packs boxes (voting's per-bucket index, and a
+    level-4 partition's index, built from its rows on demand by
+    ``PartitionStore.read_rtree``); ``insert`` routes single boxes
+    through GiST's ``penalty``/``picksplit`` callbacks; ``query_box``
+    returns payload ids of boxes overlapping the query.  Instances pickle
+    with Python's default pickling.
     """
 
     def __init__(self, max_entries: int = 32):

@@ -28,13 +28,3 @@ def with_time_buckets(segments: DataFrame, bucket_width: float) -> DataFrame:
     b1 = F.floor(F.col("t1") / F.lit(float(bucket_width)))
     b2 = F.floor(F.col("t2") / F.lit(float(bucket_width)))
     return segments.withColumn("bucket", F.explode(F.sequence(b1, b2)))
-
-
-def n_buckets(segments: DataFrame, bucket_width: float) -> int:
-    """Number of distinct buckets the segment set spans (driver-side)."""
-    return (
-        with_time_buckets(segments, bucket_width)
-        .select("bucket")
-        .distinct()
-        .count()
-    )

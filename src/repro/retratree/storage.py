@@ -1,17 +1,15 @@
-"""ReTraTree level 4 — disk partitions with their pg3D-Rtree indexes.
+"""ReTraTree level 4 — disk partitions of member rows.
 
 Mirrors Fig. 2 of the paper: "trajectories assigned to an existing
 representative trajectory are archived on disk in dedicated R-tree
 indexed partitions (called 'pg3D-Rtree-k'); outlier trajectories are
 organized on disk in a separate partition".
 
-One directory per (chunk, partition-name) holding:
-
-- ``data.parquet`` — the member sub-trajectory rows (polylines as list
-  columns, written with pyarrow);
-- ``rtree.pkl`` — the partition's pg3D-Rtree, STR-bulk-loaded over the
-  members' 3D bounding boxes (pickled; rebuilt-by-bulk-load on unpickle,
-  see ``repro.index.gist``).
+One directory per (chunk, partition-name) holding only ``data.parquet``:
+the member sub-trajectory rows (polylines as list columns, written with
+pyarrow).  A partition's pg3D-Rtree is derived state — a function of its
+rows — so it is not stored: :meth:`PartitionStore.read_rtree` STR-bulk-
+loads it over the members' 3D bounding boxes on demand.
 
 Partition contents are small (one representative's members within one
 temporal chunk), so pandas-level IO is the faithful cost model — in
@@ -19,7 +17,6 @@ Hermes these are single-relation scans inside the DBMS process.
 """
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,14 +43,13 @@ class PartitionMeta:
     n_members: int
     t_min: float
     t_max: float
-    rtree_nodes: int
 
 
 class PartitionStore:
     """Filesystem layout + IO for level-4 partitions.
 
-    Layout: ``<root>/chunk=<id>/<name>/{data.parquet, rtree.pkl}`` with
-    ``<name>`` either ``rep-<k>`` or ``outliers``.
+    Layout: ``<root>/chunk=<id>/<name>/data.parquet`` with ``<name>``
+    either ``rep-<k>`` or ``outliers``.
     """
 
     def __init__(self, root: str | Path):
@@ -65,19 +61,16 @@ class PartitionStore:
 
     # ------------------------------------------------------------------ write
     def write(self, chunk_id: int, name: str, members: pd.DataFrame) -> PartitionMeta:
-        """(Over)write a partition: Parquet data + bulk-loaded R-tree."""
+        """(Over)write a partition's Parquet rows."""
         d = self._dir(chunk_id, name)
         d.mkdir(parents=True, exist_ok=True)
         members = members[MEMBER_COLS].reset_index(drop=True)
         members.to_parquet(d / "data.parquet", engine="pyarrow", index=False)
-        tree = self._build_rtree(members)
-        with open(d / "rtree.pkl", "wb") as f:
-            pickle.dump(tree, f)
-        return self._meta(chunk_id, name, members, tree)
+        return self._meta(chunk_id, name, members)
 
     def append(self, chunk_id: int, name: str, members: pd.DataFrame) -> PartitionMeta:
-        """Append member rows (read-modify-write; partitions are small,
-        and Hermes likewise rewrites the partition's index on archive)."""
+        """Append member rows (read-modify-write; partitions are small, and
+        :meth:`ReTraTree.insert` appends once per touched partition)."""
         if self.exists(chunk_id, name):
             cur = self.read(chunk_id, name)
             members = pd.concat([cur, members[MEMBER_COLS]], ignore_index=True)
@@ -94,8 +87,9 @@ class PartitionStore:
         return pdf
 
     def read_rtree(self, chunk_id: int, name: str) -> Rtree3D:
-        with open(self._dir(chunk_id, name) / "rtree.pkl", "rb") as f:
-            return pickle.load(f)
+        """The partition's pg3D-Rtree, bulk-loaded from its rows; entry ids
+        are row positions in :meth:`read`'s frame."""
+        return self._build_rtree(self.read(chunk_id, name))
 
     def delete(self, chunk_id: int, name: str) -> None:
         d = self._dir(chunk_id, name)
@@ -128,7 +122,7 @@ class PartitionStore:
         )
         return Rtree3D.bulk_load(boxes)
 
-    def _meta(self, chunk_id: int, name: str, members: pd.DataFrame, tree: Rtree3D) -> PartitionMeta:
+    def _meta(self, chunk_id: int, name: str, members: pd.DataFrame) -> PartitionMeta:
         return PartitionMeta(
             chunk_id=chunk_id,
             name=name,
@@ -136,5 +130,4 @@ class PartitionStore:
             n_members=len(members),
             t_min=float(members["t_start"].min()) if len(members) else float("nan"),
             t_max=float(members["t_end"].max()) if len(members) else float("nan"),
-            rtree_nodes=tree.node_count(),
         )

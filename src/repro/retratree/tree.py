@@ -16,15 +16,16 @@ Mapping here:
   (the in-memory part of the structure in Fig. 2) produced by running
   S2T-Clustering on the chunk.
 - **Level 4** — one Parquet partition per representative plus an
-  ``outliers`` partition per chunk, each with its pickled pg3D-Rtree
-  (``repro.retratree.storage``).
+  ``outliers`` partition per chunk (``repro.retratree.storage``); a
+  partition's pg3D-Rtree is bulk-loaded from its rows on demand, not
+  stored.
 
 The incremental path of Fig. 2 is :meth:`ReTraTree.insert`: new
 trajectory pieces are assigned to an existing representative (archived
-into its partition) or buffered as outliers; when a chunk's outlier
-partition exceeds ``tau``, S2T re-clusters it, new representatives are
-back-propagated into the in-memory level 3, members are archived, and
-the residue stays outlier.
+into its partition) or buffered as outliers, with one append per touched
+partition; when a chunk's outlier partition exceeds ``tau``, S2T
+re-clusters it, new representatives are back-propagated into the
+in-memory level 3, members are archived, and the residue stays outlier.
 
 :meth:`ReTraTree.qut` is QuT-Clustering: chunks fully inside the window
 W are answered by *reusing* their stored clusters (partition reads, no
@@ -224,8 +225,9 @@ class ReTraTree:
         """Incrementally insert new trajectories (Fig. 2's left-to-right
         flow).  Pieces are assigned to an existing representative when
         within ``eps`` (time-synchronized distance), else buffered as
-        chunk outliers; exceeding ``tau`` triggers S2T on the outlier
-        partition with representative back-propagation.
+        chunk outliers; each touched partition then gets one append of its
+        pieces, in ``(traj_id, chunk)`` order.  Exceeding ``tau`` triggers
+        S2T on the outlier partition with representative back-propagation.
 
         Returns counters: assigned / outliers / reclustered_chunks.
         """
@@ -233,19 +235,16 @@ class ReTraTree:
         pdf = pdf.sort_values(["traj_id", "t"])
         pdf["chunk"] = np.floor(pdf["t"].to_numpy() / self.chunk_width).astype(np.int64)
         stats = {"assigned": 0, "outliers": 0, "reclustered_chunks": 0}
-        touched_outliers: set[int] = set()
+        targets: dict[tuple[int, str], list[dict]] = {}
         for (tid, cid), piece in pdf.groupby(["traj_id", "chunk"]):
             if len(piece) < 2:
                 continue
-            entry = self._chunk_entry(int(cid))
+            cid = int(cid)
+            entry = self._chunk_entry(cid)
             ts = piece["t"].to_numpy(dtype=np.float64)
             xs = piece["x"].to_numpy(dtype=np.float64)
             ys = piece["y"].to_numpy(dtype=np.float64)
-            row = pd.DataFrame({
-                "traj_id": [np.int64(tid)], "subtraj_id": [np.int64(0)],
-                "t_start": [float(ts[0])], "t_end": [float(ts[-1])],
-                "sum_vote": [0.0], "ts": [ts], "xs": [xs], "ys": [ys],
-            })
+            name = OUTLIER_PARTITION
             reps = entry.reps
             if reps:
                 d = sync_distance_to_many(
@@ -255,15 +254,20 @@ class ReTraTree:
                 )
                 j = int(np.argmin(d))
                 if np.isfinite(d[j]) and d[j] <= self.params.eps_eff:
-                    self.store.append(int(cid), reps[j].partition, row)
+                    name = reps[j].partition
                     reps[j].n_members += 1
                     stats["assigned"] += 1
-                    continue
-            self.store.append(int(cid), OUTLIER_PARTITION, row)
-            entry.outlier_count += 1
-            stats["outliers"] += 1
-            touched_outliers.add(int(cid))
-        for cid in sorted(touched_outliers):
+            if name == OUTLIER_PARTITION:
+                entry.outlier_count += 1
+                stats["outliers"] += 1
+            targets.setdefault((cid, name), []).append({
+                "traj_id": np.int64(tid), "subtraj_id": np.int64(0),
+                "t_start": float(ts[0]), "t_end": float(ts[-1]),
+                "sum_vote": 0.0, "ts": ts, "xs": xs, "ys": ys,
+            })
+        for (cid, name), rows in targets.items():
+            self.store.append(cid, name, pd.DataFrame(rows, columns=MEMBER_COLS))
+        for cid in sorted({cid for cid, name in targets if name == OUTLIER_PARTITION}):
             if self.chunks[cid].outlier_count > self.tau:
                 self._recluster_outliers(cid)
                 stats["reclustered_chunks"] += 1

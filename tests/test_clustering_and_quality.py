@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.clustering import OUTLIER, assign_clusters, cluster_sizes
+from repro.core.clustering import OUTLIER, assign_clusters
 from repro.core.distance import sync_distance_to_many
 from repro.core.sampling import Representative
 from repro.core.segmentation import segment_trajectories
@@ -18,7 +18,6 @@ from repro.eval.quality import (
     outlier_prf,
     purity,
 )
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +83,6 @@ def test_min_cluster_size_dissolves(subtrajs):
         subtrajs, reps, eps=100.0, min_cluster_size=int(n_members) + 1
     ).toPandas()
     assert (strict["cluster_id"] == OUTLIER).all()
-
-
-def test_cluster_sizes_matches_sql(subtrajs):
-    pdf = subtrajs_to_pandas(subtrajs)
-    reps = [_mk_rep(0, pdf["t_start"].min(), pdf["t_end"].max(), 50.0)]
-    assigned = assign_clusters(subtrajs, reps, eps=100.0)
-    apdf = assigned.toPandas()[["traj_id", "subtraj_id", "cluster_id"]]
-    assert_equivalent(
-        cluster_sizes(assigned),
-        "SELECT cluster_id, count(*) AS n FROM a GROUP BY cluster_id",
-        a=apdf,
-    )
 
 
 # ---------------------------------------------------------------- metrics

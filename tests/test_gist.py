@@ -128,14 +128,6 @@ def test_pickle_roundtrip_preserves_queries():
         np.testing.assert_array_equal(np.sort(t.search(q)), np.sort(t2.search(q)))
 
 
-def test_dump_entries_roundtrip():
-    boxes = _rand_boxes(77, seed=19)
-    t = GiST(BOX3D_EXTENSION, max_entries=8)
-    t.bulk_load(boxes, np.arange(77))
-    ks, vs = t._dump_entries()
-    assert len(ks) == 77 and set(vs) == set(range(77))
-
-
 def test_bulk_load_validates_shapes():
     t = GiST(BOX3D_EXTENSION)
     with pytest.raises(ValueError):

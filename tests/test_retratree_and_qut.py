@@ -13,7 +13,7 @@ from repro.core.s2t import S2TParams
 from repro.eval.quality import adjusted_rand_index
 from repro.mod.model import make_points_df
 from repro.retratree import tree as tree_mod
-from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION
+from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION, PartitionStore
 from repro.retratree.tree import QuTResult, ReTraTree, _empty_members
 from tests.conftest import TEST_PARAMS
 
@@ -102,9 +102,25 @@ def test_insert_outlier_path_then_recluster(spark, tmp_path):
     assert c0.outlier_count < 6            # members were archived
 
 
-def test_insert_assignment_path(spark, tmp_path):
-    """A new trajectory near an existing representative is archived into
-    that representative's partition without re-clustering."""
+@pytest.fixture()
+def appends(monkeypatch):
+    """The ``(chunk, partition)`` of every ``PartitionStore.append`` call."""
+    calls, real = [], PartitionStore.append
+
+    def counting(self, chunk_id, name, members):
+        calls.append((chunk_id, name))
+        return real(self, chunk_id, name, members)
+
+    monkeypatch.setattr(PartitionStore, "append", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_new", [1, 3])
+def test_insert_assignment_path(spark, tmp_path, appends, n_new):
+    """New trajectories near an existing representative are archived into
+    that representative's partition without re-clustering: one append per
+    touched partition, the newcomers after the built rows, in traj_id
+    order."""
     base = _co_moving_batch(spark, 4, t0=0.0, base_id=0, x0=0.0)
     tree = ReTraTree.build(
         spark, base, tmp_path / "t2", TEST_PARAMS, chunk_width=400.0, tau=50
@@ -113,12 +129,16 @@ def test_insert_assignment_path(spark, tmp_path):
     assert c0.reps, "build should have found a representative"
     rep = c0.reps[0]
     n_before = rep.n_members
-    newcomer = _co_moving_batch(spark, 1, t0=0.0, base_id=99_000, x0=0.0)
-    stats = tree.insert(newcomer)
-    assert stats["assigned"] == 1 and stats["outliers"] == 0
-    assert rep.n_members == n_before + 1
+    built = tree.store.read(0, rep.partition)
+    newcomers = _co_moving_batch(spark, n_new, t0=0.0, base_id=99_000, x0=0.0)
+    stats = tree.insert(newcomers)
+    assert stats["assigned"] == n_new and stats["outliers"] == 0
+    assert rep.n_members == n_before + n_new
+    assert appends == [(0, rep.partition)]
     mem = tree.store.read(0, rep.partition)
-    assert 99_000 in set(mem["traj_id"])
+    assert mem["traj_id"].tolist() == (
+        built["traj_id"].tolist() + [99_000 + k for k in range(n_new)])
+    assert mem["t_start"].iloc[:len(built)].tolist() == built["t_start"].tolist()
 
 
 def _row_keys(rows):
@@ -163,6 +183,38 @@ def test_recluster_never_overwrites_a_live_partition(spark, tmp_path, monkeypatc
                   for name in tree.store.list_partitions(0)), Counter())
     assert _row_keys(qr.rows) == stored
     assert set(qr.rows["traj_id"]) == {0, 1, 2, 100, 101, 102, 10_000, 10_001, 10_002}
+
+
+def test_insert_never_drops_or_duplicates_a_row(spark, tmp_path):
+    """One batch whose pieces span two chunks, some landing on a rep and
+    some in the outliers: the stored rows become the built rows plus each
+    inserted piece exactly once, and a whole-span QuT returns them all."""
+    base = _co_moving_batch(spark, 3, t0=0.0, base_id=0, x0=0.0)
+    tree = ReTraTree.build(
+        spark, base, tmp_path / "t4", TEST_PARAMS, chunk_width=200.0, tau=100
+    )
+    assert sorted(tree.chunks) == [0, 1] and all(c.reps for c in tree.chunks.values())
+
+    def stored():
+        return sum((_row_keys(tree.store.read(cid, name)) for cid in sorted(tree.chunks)
+                    for name in tree.store.list_partitions(cid)), Counter())
+
+    before = stored()
+    batch = _co_moving_batch(spark, 2, t0=0.0, base_id=90_000, x0=0.0).union(
+        _co_moving_batch(spark, 2, t0=0.0, base_id=95_000, x0=200.0)).toPandas()
+    stats = tree.insert(batch)
+    assert stats["assigned"] > 0 and stats["outliers"] > 0
+    assert stats["reclustered_chunks"] == 0
+
+    chunk = np.floor(batch["t"] / tree.chunk_width)
+    pieces = Counter((int(tid), float(ts.iloc[0]), float(ts.iloc[-1]), len(ts))
+                     for (tid, _), ts in batch.groupby([batch["traj_id"], chunk])["t"])
+    assert len(pieces) == 8 and set(pieces.values()) == {1}
+    assert stored() == before + pieces
+
+    qr = tree.qut(tree.chunks[0].t_lo, tree.chunks[1].t_hi)
+    assert qr.n_full == 2 and qr.n_partial == 0
+    assert _row_keys(qr.rows) == stored()
 
 
 def test_insert_short_piece_ignored(spark, tmp_path):

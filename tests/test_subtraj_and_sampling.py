@@ -6,7 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.sampling import Representative, reps_to_pandas, sample_representatives
+from repro.core.sampling import Representative, sample_representatives
 from repro.core.segmentation import segment_trajectories
 from repro.core.subtraj import build_subtrajs, subtrajs_to_pandas
 
@@ -116,13 +116,6 @@ def test_scores_nonincreasing(sub_pdf):
     reps = sample_representatives(sub_pdf, eps=3.0, max_reps=10, min_gain=0.05)
     scores = [r.score for r in reps]
     assert scores == sorted(scores, reverse=True)
-
-
-def test_reps_to_pandas_shape():
-    reps = sample_representatives(_toy_subtrajs(), eps=2.0, max_reps=3, min_gain=0.01)
-    pdf = reps_to_pandas(reps)
-    assert list(pdf["rep_id"]) == [r.rep_id for r in reps]
-    assert {"ts", "xs", "ys", "score"} <= set(pdf.columns)
 
 
 def test_representative_dataclass_fields():

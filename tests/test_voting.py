@@ -153,8 +153,8 @@ def test_bucket_width_validation(segments):
 
 
 def test_bucket_replication_covers_span(segments):
-    from repro.index.temporal import n_buckets
+    from repro.index.temporal import with_time_buckets
 
-    nb = n_buckets(segments, 300.0)
+    nb = with_time_buckets(segments, 300.0).select("bucket").distinct().count()
     t_lo, t_hi = segments.selectExpr("min(t1)", "max(t2)").first()
     assert nb == int(np.floor(t_hi / 300.0)) - int(np.floor(t_lo / 300.0)) + 1
