@@ -1,28 +1,31 @@
 """S2T-Clustering — the two-phase pipeline of the paper (§II.A).
 
 Phase 1, NaTS: voting (``core.voting``) then segmentation
-(``core.segmentation``).  Phase 2, SaCO: sub-trajectory assembly
-(``core.subtraj``), sampling (``core.sampling``), greedy clustering with
+(``core.segmentation``), which cuts each trajectory and assembles its
+sub-trajectory rows (``core.subtraj``) in one per-trajectory pass.
+Phase 2, SaCO: sampling (``core.sampling``), greedy clustering with
 outlier isolation (``core.clustering``).
 
 :func:`s2t_clustering` orchestrates the phases over a points DataFrame,
 caching and forcing each intermediate so per-phase wall times are real
 (Table C reports them), and returns everything downstream consumers
-need: votes, segmentation, sub-trajectories, representatives, cluster
-assignment and the timing breakdown.
+need: votes, sub-trajectories (as a DataFrame and as the driver-side
+table sampling ran on), representatives, cluster assignment and the
+timing breakdown.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.clustering import OUTLIER, assign_clusters
 from repro.core.sampling import Representative, sample_representatives
 from repro.core.segmentation import segment_trajectories
-from repro.core.subtraj import build_subtrajs, subtrajs_to_pandas
+from repro.core.subtraj import subtrajs_to_pandas
 from repro.core.voting import vote_segments
 from repro.mod.model import points_to_segments
 
@@ -65,18 +68,25 @@ class S2TParams:
 
 @dataclass
 class S2TResult:
-    """Outputs of one S2T run (DataFrames are cached and materialised)."""
+    """Outputs of one S2T run (DataFrames are cached and materialised).
+
+    ``segments`` and ``voted`` — the segments, without and with ``vote``;
+    ``subtrajs`` — the sub-trajectory rows (``core.subtraj.SUBTRAJ_SCHEMA``);
+    ``sub_pdf`` — the same rows collected to the driver for sampling
+    (``subtrajs_to_pandas``); ``reps`` — the sampled representatives;
+    ``clusters`` — (traj_id, subtraj_id, cluster_id, dist).
+    """
 
     segments: DataFrame
     voted: DataFrame
-    assignment: DataFrame
     subtrajs: DataFrame
+    sub_pdf: pd.DataFrame
     reps: list[Representative]
     clusters: DataFrame
     timings: dict[str, float] = field(default_factory=dict)
 
     def unpersist(self) -> None:
-        for df in (self.segments, self.voted, self.assignment, self.subtrajs, self.clusters):
+        for df in (self.segments, self.voted, self.subtrajs, self.clusters):
             try:
                 df.unpersist()
             except Exception:
@@ -101,11 +111,9 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
     timings["voting"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    assignment = segment_trajectories(
+    subtrajs = segment_trajectories(
         voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap
     ).cache()
-    assignment.count()
-    subtrajs = build_subtrajs(voted, assignment).cache()
     subtrajs.count()
     timings["segmentation"] = time.perf_counter() - t0
 
@@ -138,8 +146,8 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
     return S2TResult(
         segments=segments,
         voted=voted,
-        assignment=assignment,
         subtrajs=subtrajs,
+        sub_pdf=sub_pdf,
         reps=reps,
         clusters=clusters,
         timings=timings,
@@ -147,17 +155,22 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
 
 
 def point_labels(points: DataFrame, result: S2TResult) -> DataFrame:
-    """Per-point cluster labels: points columns + ``cluster_id``.
+    """Per-point cluster labels: points columns + ``subtraj_id`` + ``cluster_id``.
 
     A point inherits the cluster of the sub-trajectory of the segment it
     starts (last point: its trajectory's final sub-trajectory) — the
     labelling the VA map display colour-codes, and the input to the
-    Table D quality metrics.
+    Table D quality metrics.  A point lies on the polyline of that
+    sub-trajectory and at most on the one before it (as its end), so it
+    takes the largest ``subtraj_id`` whose polyline holds its ``t``.
+    Points on no polyline (one-point trajectories) are outliers.
     """
-    from repro.mod.model import subtraj_points
-
-    pts = subtraj_points(points, result.segments, result.assignment)
-    out = pts.join(
+    point_sub = (
+        result.subtrajs.select("traj_id", "subtraj_id", F.explode("ts").alias("t"))
+        .groupBy("traj_id", "t")
+        .agg(F.max("subtraj_id").alias("subtraj_id"))
+    )
+    out = points.join(point_sub, ["traj_id", "t"], "left").join(
         result.clusters.select("traj_id", "subtraj_id", "cluster_id"),
         ["traj_id", "subtraj_id"],
         "left",

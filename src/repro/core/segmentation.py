@@ -20,8 +20,10 @@ parallel, as the calibration hint prescribes):
    ``lam * sigma2 * log(n)`` (``sigma2`` robustly estimated from first
    differences of the signal).  ``min_len`` forbids slivers.
 
-Output: the ``subtrajs`` mapping (traj_id, seg_id -> subtraj_id), with
-sub-trajectory ids 0-based and temporally ordered per trajectory.
+The same per-trajectory pass then assembles the cut trajectory
+(``core.subtraj._assemble_one``), so the output is the sub-trajectory
+rows themselves (``SUBTRAJ_SCHEMA``), with sub-trajectory ids 0-based
+and temporally ordered per trajectory.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-_SCHEMA = "traj_id long, seg_id long, subtraj_id long"
+from repro.core.subtraj import SUBTRAJ_SCHEMA, _assemble_one
 
 
 def _noise_var(v: np.ndarray) -> float:
@@ -96,6 +98,8 @@ def segment_signal(v: np.ndarray, *, min_len: int = 4, lam: float = 3.0) -> np.n
 
 
 def _segment_one(pdf: pd.DataFrame, min_len: int, lam: float, max_gap: float) -> pd.DataFrame:
+    """One trajectory's voted segments, sorted by ``seg_id``, plus the
+    ``subtraj_id`` of each."""
     pdf = pdf.sort_values("seg_id").reset_index(drop=True)
     v = pdf["vote"].to_numpy(dtype=np.float64)
     t1 = pdf["t1"].to_numpy(dtype=np.float64)
@@ -111,29 +115,20 @@ def _segment_one(pdf: pd.DataFrame, min_len: int, lam: float, max_gap: float) ->
     cuts = np.zeros(n, dtype=np.int64)
     if all_splits:
         cuts[np.asarray(sorted(set(all_splits)), dtype=np.int64)] = 1
-    sub = np.cumsum(cuts)
-    return pd.DataFrame(
-        {
-            "traj_id": pdf["traj_id"].to_numpy(dtype=np.int64),
-            "seg_id": pdf["seg_id"].to_numpy(dtype=np.int64),
-            "subtraj_id": sub,
-        }
-    )
+    return pdf.assign(subtraj_id=np.cumsum(cuts))
 
 
 def segment_trajectories(
-    voted_segments: DataFrame,
-    *,
-    min_len: int = 4,
-    lam: float = 3.0,
-    max_gap: float = 120.0,
+    voted_segments: DataFrame, *, min_len: int, lam: float, max_gap: float
 ) -> DataFrame:
-    """NaTS segmentation: voted segments -> (traj_id, seg_id, subtraj_id).
+    """NaTS segmentation: voted segments -> sub-trajectory rows
+    (``SUBTRAJ_SCHEMA``), one grouped pass per trajectory.
 
     ``min_len`` — minimum sub-trajectory length in segments;
     ``lam`` — BIC penalty multiplier (higher = fewer cuts);
     ``max_gap`` — sampling gap (s) that forces a boundary.
     """
     return voted_segments.groupBy("traj_id").applyInPandas(
-        lambda pdf: _segment_one(pdf, min_len, lam, max_gap), schema=_SCHEMA
+        lambda pdf: _assemble_one(_segment_one(pdf, min_len, lam, max_gap)),
+        schema=SUBTRAJ_SCHEMA,
     )

@@ -1,10 +1,12 @@
-"""Sub-trajectory assembly: segmentation output -> summary + polyline rows.
+"""Sub-trajectory assembly: a segmented trajectory -> summary + polyline rows.
 
 The SaCO phase (sampling, clustering, outliers) and ReTraTree operate on
 *sub-trajectories*, not raw segments.  This module materialises them:
 one row per (traj_id, subtraj_id) carrying the voting summary and the
 polyline as array columns — the representation that is broadcast
 (representatives) or streamed through `mapInPandas` (candidates).
+:func:`_assemble_one` runs inside segmentation's per-trajectory pass
+(``core.segmentation.segment_trajectories``), which emits these rows.
 """
 from __future__ import annotations
 
@@ -18,45 +20,39 @@ SUBTRAJ_SCHEMA = (
     "ts array<double>, xs array<double>, ys array<double>"
 )
 
-SUBTRAJ_COLS = [
-    "traj_id", "subtraj_id", "t_start", "t_end",
-    "n_segs", "sum_vote", "mean_vote", "ts", "xs", "ys",
-]
-
-
 def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
-    """One (traj, subtraj) group -> one summary row with its polyline."""
-    pdf = pdf.sort_values("seg_id")
-    ts = np.concatenate([pdf["t1"].to_numpy()[:1], pdf["t2"].to_numpy()])
-    xs = np.concatenate([pdf["x1"].to_numpy()[:1], pdf["x2"].to_numpy()])
-    ys = np.concatenate([pdf["y1"].to_numpy()[:1], pdf["y2"].to_numpy()])
+    """One trajectory's segments, sorted by ``seg_id`` and carrying their
+    ``subtraj_id`` -> one summary row with its polyline per sub-trajectory.
+
+    A sub-trajectory's polyline is the start point of its first segment
+    followed by the end point of each of its segments.
+    """
+    sub = pdf["subtraj_id"].to_numpy(dtype=np.int64)
+    starts = np.flatnonzero(np.diff(sub, prepend=sub[0] - 1))
+    ends = np.append(starts[1:], len(sub))
     v = pdf["vote"].to_numpy(dtype=np.float64)
+    # polyline i begins at starts[i] + i once the i head points are inserted
+    heads = starts + np.arange(len(starts))
+
+    def polylines(first: str, rest: str) -> list[list[float]]:
+        head = pdf[first].to_numpy(dtype=np.float64)[starts]
+        col = np.insert(pdf[rest].to_numpy(dtype=np.float64), starts, head)
+        return [p.tolist() for p in np.split(col, heads[1:])]
+
+    ts = polylines("t1", "t2")
     return pd.DataFrame(
         {
-            "traj_id": [np.int64(pdf["traj_id"].iloc[0])],
-            "subtraj_id": [np.int64(pdf["subtraj_id"].iloc[0])],
-            "t_start": [float(ts[0])],
-            "t_end": [float(ts[-1])],
-            "n_segs": [np.int64(len(pdf))],
-            "sum_vote": [float(v.sum())],
-            "mean_vote": [float(v.mean())],
-            "ts": [ts.tolist()],
-            "xs": [xs.tolist()],
-            "ys": [ys.tolist()],
+            "traj_id": pdf["traj_id"].to_numpy(dtype=np.int64)[starts],
+            "subtraj_id": sub[starts],
+            "t_start": [p[0] for p in ts],
+            "t_end": [p[-1] for p in ts],
+            "n_segs": ends - starts,
+            "sum_vote": [v[a:b].sum() for a, b in zip(starts, ends)],
+            "mean_vote": [v[a:b].mean() for a, b in zip(starts, ends)],
+            "ts": ts,
+            "xs": polylines("x1", "x2"),
+            "ys": polylines("y1", "y2"),
         }
-    )
-
-
-def build_subtrajs(voted_segments: DataFrame, assignment: DataFrame) -> DataFrame:
-    """Join votes with the segmentation mapping and assemble polylines.
-
-    ``voted_segments``: segments + ``vote`` (from ``core.voting``);
-    ``assignment``: (traj_id, seg_id, subtraj_id) from ``core.segmentation``.
-    Returns the canonical ``subtrajs`` DataFrame (see SUBTRAJ_SCHEMA).
-    """
-    joined = voted_segments.join(assignment, ["traj_id", "seg_id"])
-    return joined.groupBy("traj_id", "subtraj_id").applyInPandas(
-        lambda pdf: _assemble_one(pdf), schema=SUBTRAJ_SCHEMA
     )
 
 

@@ -18,9 +18,11 @@ Schemas
     ``seg_id`` (0-based).  This is the unit of the voting phase: a 3D
     line segment in (x, y, t).
 
-``subtrajs``:  traj_id, subtraj_id, seg_id
-    Segmentation output — the mapping from a trajectory's segments to
-    its sub-trajectories (0-based per trajectory, temporally ordered).
+``subtrajs``:  traj_id, subtraj_id, t_start, t_end, n_segs, sum_vote,
+              mean_vote, ts, xs, ys
+    Segmentation output — one row per sub-trajectory (ids 0-based per
+    trajectory, temporally ordered) with its voting summary and its
+    polyline as arrays; see ``core.subtraj.SUBTRAJ_SCHEMA``.
 """
 from __future__ import annotations
 
@@ -118,30 +120,6 @@ def collect_polylines(points: DataFrame) -> pd.DataFrame:
             {"traj_id": r["traj_id"], "ts": arr[:, 0], "xs": arr[:, 1], "ys": arr[:, 2]}
         )
     return pd.DataFrame(rows, columns=["traj_id", "ts", "xs", "ys"])
-
-
-def subtraj_points(points: DataFrame, segments: DataFrame, subtrajs: DataFrame) -> DataFrame:
-    """Attach sub-trajectory ids to points.
-
-    A point belongs to the sub-trajectory of the segment it *starts*
-    (the last point of a trajectory inherits its last segment's
-    sub-trajectory).  Returns ``points`` columns + ``subtraj_id``.
-    """
-    seg_sub = segments.join(subtrajs, ["traj_id", "seg_id"]).select(
-        "traj_id", "seg_id", "t1", "subtraj_id"
-    )
-    # start-point match
-    start = points.join(
-        seg_sub.withColumnRenamed("t1", "t"), ["traj_id", "t"], "left"
-    )
-    # last point of each trajectory has no segment starting at it: fill
-    # with the trajectory's max subtraj_id.
-    w = Window.partitionBy("traj_id")
-    return (
-        start.withColumn("max_sub", F.max("subtraj_id").over(w))
-        .withColumn("subtraj_id", F.coalesce("subtraj_id", "max_sub"))
-        .drop("max_sub", "seg_id")
-    )
 
 
 def make_points_df(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:

@@ -46,7 +46,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.distance import sync_distance_to_many
 from repro.core.s2t import S2TParams, s2t_clustering
 from repro.core.sampling import Representative
-from repro.core.subtraj import subtrajs_to_pandas
 from repro.mod.model import make_points_df
 from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION, PartitionStore
 
@@ -452,9 +451,8 @@ def _run_s2t(
     members.  ``id_map`` maps synthetic traj_ids back to the original ones
     (from :func:`_members_to_points`)."""
     res = s2t_clustering(points, params)
-    sub = subtrajs_to_pandas(res.subtrajs)
     assign = res.clusters.toPandas()[["traj_id", "subtraj_id", "cluster_id"]]
-    members = sub.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
+    members = res.sub_pdf.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
         {"cluster_id": -1}
     )
     res.unpersist()

@@ -11,7 +11,7 @@ from repro.core.clustering import OUTLIER, assign_clusters
 from repro.core.distance import sync_distance_to_many
 from repro.core.sampling import Representative
 from repro.core.segmentation import segment_trajectories
-from repro.core.subtraj import build_subtrajs, subtrajs_to_pandas
+from repro.core.subtraj import subtrajs_to_pandas
 from repro.eval.quality import (
     adjusted_rand_index,
     evaluate_point_labels,
@@ -22,8 +22,7 @@ from repro.eval.quality import (
 
 @pytest.fixture(scope="module")
 def subtrajs(voted):
-    assignment = segment_trajectories(voted)
-    df = build_subtrajs(voted, assignment).cache()
+    df = segment_trajectories(voted, min_len=4, lam=3.0, max_gap=120.0).cache()
     df.count()
     yield df
     df.unpersist()

@@ -11,7 +11,6 @@ from repro.mod.model import (
     collect_polylines,
     make_points_df,
     points_to_segments,
-    subtraj_points,
     temporal_range,
     trajectory_extents,
 )
@@ -92,18 +91,6 @@ def test_collect_polylines_sorted_and_complete(mod_points, mod_pdf):
         np.testing.assert_allclose(
             np.sort(row["xs"]), np.sort(exp["x"].to_numpy()), rtol=1e-12
         )
-
-
-def test_subtraj_points_covers_all_points(spark, mod_points, segments):
-    """With a trivial all-zero segmentation every point must land in
-    sub-trajectory 0."""
-    assignment = segments.selectExpr(
-        "traj_id", "seg_id", "CAST(0 AS LONG) AS subtraj_id"
-    )
-    pts = subtraj_points(mod_points, segments, assignment)
-    assert pts.count() == mod_points.count()
-    assert pts.where("subtraj_id IS NULL").count() == 0
-    assert pts.where("subtraj_id != 0").count() == 0
 
 
 def test_make_points_df_dtypes(spark):

@@ -4,11 +4,13 @@ report honest per-phase timings."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data
 from repro.core.s2t import S2TParams, point_labels, s2t_clustering
 from repro.eval.quality import evaluate_point_labels
+from repro.mod.model import make_points_df
 
 
 def _metrics(spark, sf, seed, **gen_overrides):
@@ -91,3 +93,47 @@ def test_noise_objects_mostly_outlier(spark, mod_points, s2t_result, mod_pdf):
     noisy = lab[lab.traj_id.isin(noise_trajs)]
     frac_outlier = (noisy["cluster_id"] == -1).mean()
     assert frac_outlier >= 0.7
+
+
+def _track(traj, t0, t1, y, step=50.0):
+    t = np.arange(t0, t1 + step / 2, step)
+    return pd.DataFrame({"obj_id": traj, "traj_id": traj, "t": t, "x": 0.01 * t, "y": y})
+
+
+def test_point_labels_degenerate_inputs(spark):
+    """The labelling rule on a hand-built MOD: trajectory 1 rides with
+    trajectories 2-3 until t = 1000 s and with 4-7 after, so its vote
+    steps and it is cut into two sub-trajectories; trajectory 2 repeats
+    a timestamp mid-way, trajectory 3 at its end; trajectory 8 is one point."""
+    pdf = pd.concat(
+        [_track(1, 0, 2000, 0.0)]
+        + [_track(k, 0, 1000, 0.1 * k) for k in (2, 3)]
+        + [_track(k, 1000, 2000, 0.1 * k) for k in (4, 5, 6, 7)],
+        ignore_index=True,
+    )
+    dups = pd.concat([pdf[pdf.traj_id == 2].iloc[[10]], pdf[pdf.traj_id == 3].iloc[[-1]]])
+    one = pd.DataFrame({"obj_id": [8], "traj_id": [8], "t": [500.0], "x": [5.0], "y": [0.0]})
+    pdf = pd.concat([pdf, dups.assign(x=dups.x + 0.05), one], ignore_index=True)
+    pts = make_points_df(spark, pdf)
+    # min_overlap keeps a sub-trajectory from joining a cluster through
+    # the few seconds it shares with the other group's representative
+    res = s2t_clustering(pts, S2TParams(sigma=1.0, min_overlap=200.0))
+    lab = point_labels(pts, res).toPandas()
+    sub = res.subtrajs.toPandas().sort_values(["traj_id", "subtraj_id"])
+    cl = res.clusters.toPandas().set_index(["traj_id", "subtraj_id"])["cluster_id"]
+    res.unpersist()
+
+    key = ["traj_id", "t", "x", "y"]
+    assert sorted(map(tuple, lab[key].to_numpy())) == sorted(map(tuple, pdf[key].to_numpy()))
+
+    cut = sub[sub.traj_id == 1]
+    assert len(cut) >= 2
+    for (_, a), (_, b) in zip(cut.iloc[:-1].iterrows(), cut.iloc[1:].iterrows()):
+        (shared,) = lab.loc[(lab.traj_id == 1) & (lab.t == b["ts"][0]), "cluster_id"]
+        assert a["ts"][-1] == b["ts"][0]
+        assert cl[(1, b["subtraj_id"])] != cl[(1, a["subtraj_id"])]
+        assert shared == cl[(1, b["subtraj_id"])]
+
+    for r in dups.itertuples():
+        assert lab.loc[(lab.traj_id == r.traj_id) & (lab.t == r.t), "cluster_id"].nunique() == 1
+    assert lab.loc[lab.traj_id == 8, "cluster_id"].tolist() == [-1]

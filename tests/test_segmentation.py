@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.segmentation import segment_signal, segment_trajectories
 from repro.core.voting import vote_segments
@@ -93,73 +92,57 @@ def _toy_voted(spark, votes, gap_at=None, gap=1000.0):
     return spark.createDataFrame(pdf)
 
 
+#: The segmentation knobs the Spark-level tests run with.
+NATS = dict(min_len=4, lam=3.0, max_gap=120.0)
+
+
+@pytest.fixture(scope="module")
+def sub_rows(voted):
+    return segment_trajectories(voted, **NATS).toPandas()
+
+
 def test_forced_gap_boundary(spark):
     voted = _toy_voted(spark, np.zeros(20), gap_at=10)
-    out = (
-        segment_trajectories(voted, min_len=4, lam=3.0, max_gap=120.0)
-        .toPandas()
-        .sort_values("seg_id")
-    )
-    assert out["subtraj_id"].nunique() == 2
-    assert (out[out.seg_id < 10]["subtraj_id"] == 0).all()
-    assert (out[out.seg_id >= 10]["subtraj_id"] == 1).all()
+    out = segment_trajectories(voted, **NATS).toPandas().sort_values("subtraj_id")
+    assert out["subtraj_id"].tolist() == [0, 1]
+    assert out["n_segs"].tolist() == [10, 10]
 
 
 def test_no_gap_no_split_flat(spark):
     voted = _toy_voted(spark, np.full(20, 2.0))
-    out = segment_trajectories(voted, min_len=4, lam=6.0).toPandas()
-    assert out["subtraj_id"].nunique() == 1
+    out = segment_trajectories(voted, min_len=4, lam=6.0, max_gap=120.0).toPandas()
+    assert len(out) == 1
 
 
 def test_vote_step_splits(spark):
     voted = _toy_voted(spark, np.concatenate([np.zeros(15), np.full(15, 6.0)]))
-    out = segment_trajectories(voted, min_len=4, lam=3.0).toPandas()
-    assert out["subtraj_id"].nunique() == 2
+    out = segment_trajectories(voted, **NATS).toPandas()
+    assert len(out) == 2
 
 
-def test_assignment_covers_every_segment(voted):
-    assignment = segment_trajectories(voted)
-    assert assignment.count() == voted.count()
-    assert assignment.where("subtraj_id IS NULL").count() == 0
+def test_assignment_covers_every_segment(sub_rows, voted):
+    assert int(sub_rows["n_segs"].sum()) == voted.count()
+    assert sub_rows["subtraj_id"].notna().all()
 
 
-def test_subtraj_ids_contiguous_from_zero(voted):
-    assignment = segment_trajectories(voted)
-    stats = (
-        assignment.groupBy("traj_id")
-        .agg(
-            F.min("subtraj_id").alias("lo"),
-            F.max("subtraj_id").alias("hi"),
-            F.countDistinct("subtraj_id").alias("k"),
-        )
-        .toPandas()
-    )
-    assert (stats["lo"] == 0).all()
-    assert (stats["k"] == stats["hi"] + 1).all()
+def test_subtraj_ids_contiguous_from_zero(sub_rows):
+    stats = sub_rows.groupby("traj_id")["subtraj_id"].agg(["min", "max", "nunique", "size"])
+    assert (stats["min"] == 0).all()
+    assert (stats["nunique"] == stats["max"] + 1).all()
+    assert (stats["size"] == stats["nunique"]).all()
 
 
-def test_subtraj_ids_temporally_ordered(voted):
-    assignment = segment_trajectories(voted)
-    j = voted.select("traj_id", "seg_id", "t1").join(
-        assignment, ["traj_id", "seg_id"]
-    )
-    pdf = j.toPandas().sort_values(["traj_id", "seg_id"])
-    for _, g in pdf.groupby("traj_id"):
-        assert (np.diff(g["subtraj_id"].to_numpy()) >= 0).all()
+def test_subtraj_ids_temporally_ordered(sub_rows):
+    for _, g in sub_rows.sort_values(["traj_id", "subtraj_id"]).groupby("traj_id"):
+        assert (np.diff(g["t_start"].to_numpy()) > 0).all()
 
 
-def test_multi_leg_objects_get_segmented(mod_points, mod_pdf, voted):
+def test_multi_leg_objects_get_segmented(mod_pdf, sub_rows):
     """Objects planted with two group legs must end up with >= 2
     sub-trajectories (the structural reason segmentation exists)."""
     per_traj = mod_pdf[mod_pdf.gt_label >= 0].groupby("traj_id")["gt_label"].nunique()
     multi = set(per_traj[per_traj >= 2].index)
     if not multi:
         pytest.skip("no multi-leg objects at this seed")
-    assignment = segment_trajectories(voted)
-    counts = (
-        assignment.groupBy("traj_id")
-        .agg(F.countDistinct("subtraj_id").alias("k"))
-        .toPandas()
-        .set_index("traj_id")["k"]
-    )
+    counts = sub_rows.groupby("traj_id")["subtraj_id"].nunique()
     assert max(counts.get(t, 1) for t in multi) >= 2

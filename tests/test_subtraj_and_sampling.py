@@ -5,16 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sampling import Representative, sample_representatives
 from repro.core.segmentation import segment_trajectories
-from repro.core.subtraj import build_subtrajs, subtrajs_to_pandas
+from repro.core.subtraj import _assemble_one, subtrajs_to_pandas
 
 
 @pytest.fixture(scope="module")
 def subtrajs(voted):
-    assignment = segment_trajectories(voted)
-    df = build_subtrajs(voted, assignment).cache()
+    df = segment_trajectories(voted, min_len=4, lam=3.0, max_gap=120.0).cache()
     df.count()
     yield df
     df.unpersist()
@@ -26,9 +27,8 @@ def sub_pdf(subtrajs):
 
 
 # ------------------------------------------------------------ assembly
-def test_one_row_per_subtraj(subtrajs, voted):
-    assignment = segment_trajectories(voted)
-    expected = assignment.select("traj_id", "subtraj_id").distinct().count()
+def test_one_row_per_subtraj(subtrajs):
+    expected = subtrajs.select("traj_id", "subtraj_id").distinct().count()
     assert subtrajs.count() == expected
 
 
@@ -48,6 +48,52 @@ def test_votes_aggregated(sub_pdf, voted):
 
 def test_segments_partition_into_subtrajs(sub_pdf, segments):
     assert int(sub_pdf["n_segs"].sum()) == segments.count()
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _segmented_trajectory(draw):
+    """A chain of consecutive segments with votes, sorted by ``seg_id``,
+    cut into sub-trajectories by random non-decreasing ``subtraj_id``s."""
+    n = draw(st.integers(1, 40))
+    dt = np.asarray(draw(st.lists(st.floats(0.1, 500.0), min_size=n, max_size=n)))
+    t = np.concatenate([[draw(_finite)], dt]).cumsum()
+    x, y = (np.asarray(draw(st.lists(_finite, min_size=n + 1, max_size=n + 1)))
+            for _ in range(2))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return pd.DataFrame({
+        "traj_id": np.int64(draw(st.integers(0, 10**6))),
+        "seg_id": np.arange(n, dtype=np.int64),
+        "t1": t[:-1], "x1": x[:-1], "y1": y[:-1],
+        "t2": t[1:], "x2": x[1:], "y2": y[1:],
+        "vote": draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)),
+        "subtraj_id": np.cumsum([0, *cuts]).astype(np.int64),
+    })
+
+
+@settings(max_examples=100, deadline=None)
+@given(_segmented_trajectory())
+def test_property_assemble_one_partitions_the_chain(seg):
+    out = _assemble_one(seg)
+    ids = seg["subtraj_id"].to_numpy()
+    assert out["subtraj_id"].tolist() == sorted(set(ids))
+    assert int(out["n_segs"].sum()) == len(seg)
+    v = seg["vote"].to_numpy()
+    for k, r in out.iterrows():
+        rows = np.flatnonzero(ids == r["subtraj_id"])
+        a, b = rows[0], rows[-1] + 1
+        assert r["n_segs"] == b - a
+        assert len(r["ts"]) == len(r["xs"]) == len(r["ys"]) == r["n_segs"] + 1
+        assert r["ts"] == [seg["t1"].iloc[a], *seg["t2"].iloc[a:b]]
+        assert r["xs"] == [seg["x1"].iloc[a], *seg["x2"].iloc[a:b]]
+        assert r["ys"] == [seg["y1"].iloc[a], *seg["y2"].iloc[a:b]]
+        assert (r["t_start"], r["t_end"]) == (r["ts"][0], r["ts"][-1])
+        assert r["sum_vote"] == v[a:b].sum()
+        assert r["mean_vote"] == v[a:b].mean()
+        if k + 1 < len(out):
+            assert r["ts"][-1] == out["ts"].iloc[k + 1][0]
 
 
 # ------------------------------------------------------------ sampling
