@@ -12,7 +12,8 @@ end up smaller than ``min_cluster_size`` (the QUT ``gamma`` parameter)
 are dissolved into outliers.  The representative set is small and is
 shipped to executors inside the `mapInPandas` closure (the explicit
 broadcast-variable path adds nothing at this size); assignment is
-embarrassingly parallel over sub-trajectory rows.
+embarrassingly parallel over sub-trajectory rows.  Sub-trajectories
+already on the driver (a pandas frame) are assigned there, in one batch.
 """
 from __future__ import annotations
 
@@ -55,23 +56,38 @@ def _assign_batch(pdf: pd.DataFrame, reps_arrs, eps, n_samples, min_overlap) -> 
     )
 
 
+def _dissolve(assigned: pd.DataFrame, min_cluster_size: int) -> pd.DataFrame:
+    """Turn the members of clusters smaller than ``min_cluster_size`` into
+    outliers (``dist`` inf)."""
+    size = assigned.groupby("cluster_id")["cluster_id"].transform("size")
+    small = (assigned["cluster_id"] != OUTLIER) & (size < min_cluster_size)
+    return assigned.assign(
+        cluster_id=assigned["cluster_id"].mask(small, OUTLIER),
+        dist=assigned["dist"].mask(small, np.inf),
+    )
+
+
 def assign_clusters(
-    subtrajs: DataFrame,
+    subtrajs: DataFrame | pd.DataFrame,
     reps: list[Representative],
     *,
     eps: float,
     min_cluster_size: int = 1,
     n_samples: int = 32,
     min_overlap: float = 0.0,
-) -> DataFrame:
+) -> DataFrame | pd.DataFrame:
     """Assign every sub-trajectory to a representative or to the outliers.
 
-    Returns (traj_id, subtraj_id, cluster_id, dist); ``cluster_id`` is
-    the representative's ``rep_id`` or -1, ``dist`` the assignment
-    distance (inf for outliers).  ``min_cluster_size`` dissolves
-    undersized clusters (QUT's gamma).
+    Returns (traj_id, subtraj_id, cluster_id, dist), as the same frame
+    kind as ``subtrajs``; ``cluster_id`` is the representative's
+    ``rep_id`` or -1, ``dist`` the assignment distance (inf for
+    outliers).  ``min_cluster_size`` dissolves undersized clusters
+    (QUT's gamma).  A pandas frame is assigned in-process, in one batch.
     """
     reps_arrs = [(r.ts, r.xs, r.ys) for r in reps]
+    if isinstance(subtrajs, pd.DataFrame):
+        assigned = _assign_batch(subtrajs, reps_arrs, eps, n_samples, min_overlap)
+        return _dissolve(assigned, min_cluster_size) if min_cluster_size > 1 else assigned
 
     def run(it):
         for pdf in it:

@@ -6,12 +6,21 @@ sub-trajectory rows (``core.subtraj``) in one per-trajectory pass.
 Phase 2, SaCO: sampling (``core.sampling``), greedy clustering with
 outlier isolation (``core.clustering``).
 
-:func:`s2t_clustering` orchestrates the phases over a points DataFrame,
-caching and forcing each intermediate so per-phase wall times are real
-(Table C reports them), and returns everything downstream consumers
-need: votes, sub-trajectories (as a DataFrame and as the driver-side
-table sampling ran on), representatives, cluster assignment and the
-timing breakdown.
+:func:`s2t_clustering` orchestrates the phases over a points frame and
+returns everything downstream consumers need: votes, sub-trajectories
+(as a frame and as the driver-side table sampling ran on),
+representatives, cluster assignment and the timing breakdown.  The input
+type picks the engine; both run the same kernels:
+
+- a Spark DataFrame runs each phase as Spark jobs (``applyInPandas``,
+  ``mapInPandas``, relational aggregation), caching and forcing each
+  intermediate so per-phase wall times are real (Table C reports them).
+  The batch paths use it: a whole MOD, a ReTraTree chunk build, the QuT
+  baseline;
+- a pandas frame runs every phase in the driver process.  ReTraTree's
+  QuT boundary slabs and outlier re-clusters use it: their few thousand
+  points are read from partitions into the driver, where a Spark run
+  would cost ~20 jobs of fixed overhead for little work.
 """
 from __future__ import annotations
 
@@ -68,53 +77,63 @@ class S2TParams:
 
 @dataclass
 class S2TResult:
-    """Outputs of one S2T run (DataFrames are cached and materialised).
+    """Outputs of one S2T run, as frames of the input's kind (Spark
+    DataFrames are cached and materialised).
 
     ``segments`` and ``voted`` — the segments, without and with ``vote``;
     ``subtrajs`` — the sub-trajectory rows (``core.subtraj.SUBTRAJ_SCHEMA``);
-    ``sub_pdf`` — the same rows collected to the driver for sampling
-    (``subtrajs_to_pandas``); ``reps`` — the sampled representatives;
-    ``clusters`` — (traj_id, subtraj_id, cluster_id, dist).
+    ``sub_pdf`` — the same rows on the driver, polylines as numpy arrays,
+    for sampling (``subtrajs_to_pandas``); ``reps`` — the sampled
+    representatives; ``clusters`` — (traj_id, subtraj_id, cluster_id,
+    dist); ``timings`` — seconds per phase (``prepare``, ``voting``,
+    ``segmentation``, ``sampling``, ``clustering``) and ``total``.
     """
 
-    segments: DataFrame
-    voted: DataFrame
-    subtrajs: DataFrame
+    segments: DataFrame | pd.DataFrame
+    voted: DataFrame | pd.DataFrame
+    subtrajs: DataFrame | pd.DataFrame
     sub_pdf: pd.DataFrame
     reps: list[Representative]
-    clusters: DataFrame
+    clusters: DataFrame | pd.DataFrame
     timings: dict[str, float] = field(default_factory=dict)
 
     def unpersist(self) -> None:
         for df in (self.segments, self.voted, self.subtrajs, self.clusters):
-            try:
+            if isinstance(df, DataFrame):
                 df.unpersist()
-            except Exception:
-                pass
 
 
-def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TResult:
-    """Run the full S2T-Clustering pipeline on a points DataFrame."""
+def _materialise(df: DataFrame | pd.DataFrame) -> DataFrame | pd.DataFrame:
+    """Cache and force a Spark DataFrame; a pandas frame already is."""
+    if isinstance(df, DataFrame):
+        df = df.cache()
+        df.count()
+    return df
+
+
+def s2t_clustering(
+    points: DataFrame | pd.DataFrame, params: S2TParams | None = None
+) -> S2TResult:
+    """Run the full S2T-Clustering pipeline on a points frame: as Spark
+    jobs for a Spark DataFrame, in the driver process for a pandas frame
+    (columns ``traj_id``, ``t``, ``x``, ``y``)."""
     p = params or S2TParams()
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    segments = points_to_segments(points).cache()
-    segments.count()
+    segments = _materialise(points_to_segments(points))
     timings["prepare"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    voted = vote_segments(
+    voted = _materialise(vote_segments(
         segments, sigma=p.sigma, cutoff=p.cutoff, bucket_width=p.bucket_width
-    ).cache()
-    voted.count()
+    ))
     timings["voting"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    subtrajs = segment_trajectories(
+    subtrajs = _materialise(segment_trajectories(
         voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap
-    ).cache()
-    subtrajs.count()
+    ))
     timings["segmentation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -131,15 +150,14 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
     timings["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    clusters = assign_clusters(
+    clusters = _materialise(assign_clusters(
         subtrajs,
         reps,
         eps=p.eps_eff,
         min_cluster_size=p.min_cluster_size,
         n_samples=p.n_samples,
         min_overlap=p.min_overlap,
-    ).cache()
-    clusters.count()
+    ))
     timings["clustering"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
 
@@ -155,7 +173,8 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
 
 
 def point_labels(points: DataFrame, result: S2TResult) -> DataFrame:
-    """Per-point cluster labels: points columns + ``subtraj_id`` + ``cluster_id``.
+    """Per-point cluster labels of a Spark run: points columns +
+    ``subtraj_id`` + ``cluster_id``.
 
     A point inherits the cluster of the sub-trajectory of the segment it
     starts (last point: its trajectory's final sub-trajectory) — the

@@ -9,10 +9,13 @@ group A, then drifts alone, then joins group B is cut into three
 sub-trajectories.
 
 Method: per trajectory (one `applyInPandas` group — embarrassingly
-parallel, as the calibration hint prescribes):
+parallel, as the calibration hint prescribes; one pandas group when the
+voted segments already live on the driver):
 
 1. *Forced* boundaries at sampling gaps longer than ``max_gap`` — a
    trajectory with a data hole cannot be one homogeneous sub-trajectory.
+   Segments of consecutive points bridge a hole with one long segment,
+   which is cut off on both sides and left a sub-trajectory of its own.
 2. Within each gap-free run, top-down binary segmentation of the voting
    signal: recursively place the split that maximally reduces the sum of
    squared errors around piecewise-constant means, accepting a split
@@ -31,7 +34,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.subtraj import SUBTRAJ_SCHEMA, _assemble_one
+from repro.core.subtraj import SUBTRAJ_COLS, SUBTRAJ_SCHEMA, _assemble_one
 
 
 def _noise_var(v: np.ndarray) -> float:
@@ -105,10 +108,14 @@ def _segment_one(pdf: pd.DataFrame, min_len: int, lam: float, max_gap: float) ->
     t1 = pdf["t1"].to_numpy(dtype=np.float64)
     t2 = pdf["t2"].to_numpy(dtype=np.float64)
     n = len(pdf)
-    # forced boundaries at sampling gaps
-    forced = np.flatnonzero(t1[1:] - t2[:-1] > max_gap) + 1
+    # forced boundaries at sampling gaps: between segments, and on both
+    # sides of a segment that spans one (segments of points always chain)
+    long = np.flatnonzero(t2 - t1 > max_gap)
+    forced = np.union1d(np.flatnonzero(t1[1:] - t2[:-1] > max_gap) + 1,
+                        np.concatenate([long, long + 1]))
+    forced = forced[(forced > 0) & (forced < n)]
     bounds = [0, *forced.tolist(), n]
-    all_splits: list[int] = list(forced)
+    all_splits: list[int] = forced.tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rel = segment_signal(v[lo:hi], min_len=min_len, lam=lam)
         all_splits.extend((rel + lo).tolist())
@@ -119,15 +126,22 @@ def _segment_one(pdf: pd.DataFrame, min_len: int, lam: float, max_gap: float) ->
 
 
 def segment_trajectories(
-    voted_segments: DataFrame, *, min_len: int, lam: float, max_gap: float
-) -> DataFrame:
+    voted_segments: DataFrame | pd.DataFrame, *, min_len: int, lam: float, max_gap: float
+) -> DataFrame | pd.DataFrame:
     """NaTS segmentation: voted segments -> sub-trajectory rows
-    (``SUBTRAJ_SCHEMA``), one grouped pass per trajectory.
+    (``SUBTRAJ_SCHEMA``), one pass per trajectory: a grouped
+    ``applyInPandas`` over a Spark DataFrame, a pandas ``groupby`` over a
+    pandas frame.
 
     ``min_len`` — minimum sub-trajectory length in segments;
     ``lam`` — BIC penalty multiplier (higher = fewer cuts);
-    ``max_gap`` — sampling gap (s) that forces a boundary.
+    ``max_gap`` — sampling gap (s) that forces a boundary: a longer
+    pause between segments, or a segment lasting longer.
     """
+    if isinstance(voted_segments, pd.DataFrame):
+        parts = [_assemble_one(_segment_one(g, min_len, lam, max_gap))
+                 for _, g in voted_segments.groupby("traj_id")]
+        return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(columns=SUBTRAJ_COLS)
     return voted_segments.groupBy("traj_id").applyInPandas(
         lambda pdf: _assemble_one(_segment_one(pdf, min_len, lam, max_gap)),
         schema=SUBTRAJ_SCHEMA,

@@ -19,6 +19,7 @@ SUBTRAJ_SCHEMA = (
     "n_segs long, sum_vote double, mean_vote double, "
     "ts array<double>, xs array<double>, ys array<double>"
 )
+SUBTRAJ_COLS = [f.split()[0] for f in SUBTRAJ_SCHEMA.split(", ")]
 
 def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
     """One trajectory's segments, sorted by ``seg_id`` and carrying their
@@ -56,15 +57,16 @@ def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def subtrajs_to_pandas(subtrajs: DataFrame) -> pd.DataFrame:
-    """Collect subtraj rows with polylines as numpy arrays (driver side).
+def subtrajs_to_pandas(subtrajs: DataFrame | pd.DataFrame) -> pd.DataFrame:
+    """Collect subtraj rows with polylines as numpy arrays (driver side);
+    a pandas frame is converted in place of the collect.
 
     Used by the sampling greedy loop: the subtraj summary table is
     orders of magnitude smaller than the point data (paper's reason for
     running SaCO after segmentation), so collecting it is the intended
     cost model.
     """
-    pdf = subtrajs.toPandas()
+    pdf = subtrajs.toPandas() if isinstance(subtrajs, DataFrame) else subtrajs.copy()
     for c in ("ts", "xs", "ys"):
         pdf[c] = pdf[c].apply(lambda a: np.asarray(a, dtype=np.float64))
     return pdf.sort_values(["traj_id", "subtraj_id"]).reset_index(drop=True)

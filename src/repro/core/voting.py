@@ -15,7 +15,8 @@ Two implementations, matching Table B of the reproduction:
   segments (padded by the spatial cutoff) and only scores index-hit
   candidate pairs.  Cross-bucket duplicates are resolved by a global
   max-per-(segment, voter) aggregation followed by a sum over voters —
-  plain relational steps the DuckDB oracle verifies in the tests.
+  plain relational steps the DuckDB oracle verifies in the tests.  A
+  pandas segments frame runs the same kernel in-process, as one bucket.
 - :func:`vote_segments_naive` — the unindexed comparator ("corresponding
   PostgreSQL function"): a nested-loop scan over all segment pairs with
   only the time-overlap predicate, no index, single task.
@@ -102,23 +103,36 @@ def _bucket_votes(pdf: pd.DataFrame, sigma: float, cutoff: float) -> pd.DataFram
     )
 
 
+def _join_votes(segments: pd.DataFrame, pair_votes: pd.DataFrame) -> pd.DataFrame:
+    """Sum one-per-voter pair votes per segment and left-join them onto
+    ``segments`` (0 for unvoted segments)."""
+    votes = pair_votes.groupby(["traj_id", "seg_id"], as_index=False)["vote"].sum()
+    out = segments[SEGMENT_COLS].merge(votes, on=["traj_id", "seg_id"], how="left")
+    out["vote"] = out["vote"].fillna(0.0)
+    return out
+
+
 def vote_segments(
-    segments: DataFrame,
+    segments: DataFrame | pd.DataFrame,
     *,
     sigma: float,
     cutoff: float | None = None,
     bucket_width: float = 300.0,
-) -> DataFrame:
-    """Indexed voting: segments DataFrame -> segments + ``vote`` column.
+) -> DataFrame | pd.DataFrame:
+    """Indexed voting: segments -> segments + ``vote`` column, same frame kind.
 
     ``sigma`` is the kernel bandwidth (same units as x/y); ``cutoff``
     defaults to ``3 * sigma``; ``bucket_width`` (seconds) controls the
     Spark-side temporal partitioning (any width is correct — segments
     spanning boundaries are replicated and de-duplicated by the global
-    max aggregation; width only tunes parallelism vs. duplication).
+    max aggregation; width only tunes parallelism vs. duplication).  A
+    pandas frame is voted in-process as one bucket: no replication, so
+    :func:`_bucket_votes` already yields one vote per voter.
     """
     if cutoff is None:
         cutoff = CUTOFF_SIGMAS * sigma
+    if isinstance(segments, pd.DataFrame):
+        return _join_votes(segments, _bucket_votes(segments, sigma, cutoff))
     bucketed = with_time_buckets(segments, bucket_width)
     pair_votes = bucketed.groupBy("bucket").applyInPandas(
         lambda pdf: _bucket_votes(pdf, sigma, cutoff), schema=_PAIR_SCHEMA
@@ -168,11 +182,5 @@ def vote_segments_naive(
         part = _pairs_to_votes(seg, traj, seg_id, ei[keep], fj[keep], sigma, cutoff)
         if len(part):
             parts.append(part)
-    if parts:
-        votes = pd.concat(parts, ignore_index=True)
-        votes = votes.groupby(["traj_id", "seg_id"], as_index=False)["vote"].sum()
-    else:
-        votes = _empty_votes()[["traj_id", "seg_id", "vote"]]
-    out = pdf.merge(votes, on=["traj_id", "seg_id"], how="left")
-    out["vote"] = out["vote"].fillna(0.0)
-    return spark.createDataFrame(out[SEGMENT_COLS + ["vote"]])
+    pair_votes = pd.concat(parts, ignore_index=True) if parts else _empty_votes()
+    return spark.createDataFrame(_join_votes(pdf, pair_votes))

@@ -36,18 +36,31 @@ from pyspark.sql import functions as F
 SEGMENT_COLS = ["traj_id", "seg_id", "t1", "x1", "y1", "t2", "x2", "y2"]
 
 
-def points_to_segments(points: DataFrame) -> DataFrame:
-    """Turn a points DataFrame into the canonical segments DataFrame.
+def points_to_segments(points: DataFrame | pd.DataFrame) -> DataFrame | pd.DataFrame:
+    """Turn a points frame into the canonical segments frame, of the same kind.
 
-    Consecutive samples of each trajectory (ordered by ``t``) become 3D
-    line segments.  Implemented with window functions so Catalyst plans
+    Consecutive samples of each trajectory (ordered by ``(t, x, y)``, so
+    the samples of a duplicate timestamp have a defined order) become 3D
+    line segments.  A Spark DataFrame is planned with window functions,
     a single shuffle by ``traj_id``; the equivalent SQL (``lead`` over a
-    partition) is what the DuckDB oracle checks in the tests.
+    partition) is what the DuckDB oracle checks in the tests.  A pandas
+    frame takes the same ``lead`` per trajectory with ``shift``.
 
     Zero-duration segments (duplicate timestamps) are dropped — they
     carry no motion and would divide by zero in the distance kernels.
     """
-    w = Window.partitionBy("traj_id").orderBy("t")
+    if isinstance(points, pd.DataFrame):
+        pts = points.sort_values(["traj_id", "t", "x", "y"], ignore_index=True)
+        nxt = pts.groupby("traj_id")[["t", "x", "y"]].shift(-1)
+        seg = pd.DataFrame({
+            "traj_id": pts["traj_id"].astype(np.int64),
+            "t1": pts["t"], "x1": pts["x"], "y1": pts["y"],
+            "t2": nxt["t"], "x2": nxt["x"], "y2": nxt["y"],
+        }).astype({c: np.float64 for c in SEGMENT_COLS[2:]})
+        seg = seg[seg["t2"].notna() & (seg["t2"] > seg["t1"])].reset_index(drop=True)
+        seg["seg_id"] = seg.groupby("traj_id").cumcount().astype(np.int64)
+        return seg[SEGMENT_COLS]
+    w = Window.partitionBy("traj_id").orderBy("t", "x", "y")
     seg = (
         points.select(
             "traj_id",

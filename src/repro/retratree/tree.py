@@ -32,6 +32,12 @@ W are answered by *reusing* their stored clusters (partition reads, no
 clustering); boundary chunks are re-clustered on just their clipped
 slice; clusters of adjacent regions are merged when their
 representatives are spatio-temporally continuous (QUT's ``d``).
+
+Which S2T engine runs where: the bulk load clusters each chunk of the
+MOD, a Spark DataFrame, as Spark jobs.  The outlier re-cluster and the
+QuT boundary slabs start from partition rows already read into the
+driver, so S2T runs there on a pandas frame (:func:`_members_to_points`)
+and the tree holds no Spark session.
 """
 from __future__ import annotations
 
@@ -46,7 +52,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.distance import sync_distance_to_many
 from repro.core.s2t import S2TParams, s2t_clustering
 from repro.core.sampling import Representative
-from repro.mod.model import make_points_df
 from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION, PartitionStore
 
 OUTLIER_KEY = None  # cluster key of outlier rows in QuT results
@@ -140,14 +145,12 @@ class ReTraTree:
 
     def __init__(
         self,
-        spark: SparkSession,
         root: str | Path,
         params: S2TParams,
         *,
         chunk_width: float,
         tau: int = 50,
     ):
-        self.spark = spark
         self.store = PartitionStore(root)
         self.params = params
         self.chunk_width = float(chunk_width)
@@ -167,13 +170,14 @@ class ReTraTree:
         tau: int = 50,
     ) -> "ReTraTree":
         """Bulk-load: split the MOD at chunk boundaries and run
-        S2T-Clustering per chunk, archiving members and outliers.
+        S2T-Clustering per chunk as Spark jobs (``points`` is a Spark
+        DataFrame, ``spark`` its session), archiving members and outliers.
 
         Segments crossing a chunk boundary are split at the boundary by
         construction (each chunk clusters only its own samples) — the
         temporal partitioning of ReTraTree level 1.
         """
-        tree = cls(spark, root, params, chunk_width=chunk_width, tau=tau)
+        tree = cls(root, params, chunk_width=chunk_width, tau=tau)
         t_min, t_max = points.selectExpr("min(t)", "max(t)").first()
         first = int(np.floor(t_min / chunk_width))
         last = int(np.floor((t_max - 1e-9) / chunk_width))
@@ -278,7 +282,7 @@ class ReTraTree:
         outl = self.store.read(cid, OUTLIER_PARTITION)
         if len(outl) < 2:
             return
-        pts, id_map = _members_to_points(self.spark, outl)
+        pts, id_map = _members_to_points(outl)
         self._archive(self.chunks[cid], *_run_s2t(pts, self.params, id_map))
 
     # -------------------------------------------------------------------- qut
@@ -341,7 +345,7 @@ class ReTraTree:
                 slabs.append(slab)
                 bounds.append((lo, hi))
         if slabs:
-            pts, id_map = _members_to_points(self.spark, pd.concat(slabs, ignore_index=True))
+            pts, id_map = _members_to_points(pd.concat(slabs, ignore_index=True))
             members, live_reps = _run_s2t(pts, qparams, id_map)
             members["cluster"] = [
                 f"b:rep-{int(k)}" if k >= 0 else OUTLIER_KEY
@@ -425,10 +429,9 @@ def _explode(
     return row[keep], ts[keep], xs[keep], ys[keep]
 
 
-def _members_to_points(
-    spark: SparkSession, members: pd.DataFrame
-) -> tuple[DataFrame, np.ndarray]:
-    """Explode member polylines back into a Spark points DataFrame.
+def _members_to_points(members: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]:
+    """Explode member polylines back into a pandas points frame, which S2T
+    clusters in the driver process.
 
     Distinct sub-trajectories of the same trajectory get distinct
     synthetic traj_ids (their row positions) so S2T treats them
@@ -440,18 +443,20 @@ def _members_to_points(
     row, ts, xs, ys = _explode(members)
     traj = members["traj_id"].to_numpy(dtype=np.int64)
     pdf = pd.DataFrame({"obj_id": traj[row], "traj_id": row, "t": ts, "x": xs, "y": ys})
-    return make_points_df(spark, pdf), traj
+    return pdf, traj
 
 
 def _run_s2t(
-    points: DataFrame, params: S2TParams, id_map: np.ndarray | None = None
+    points: DataFrame | pd.DataFrame, params: S2TParams, id_map: np.ndarray | None = None
 ) -> tuple[pd.DataFrame, list[Representative]]:
-    """S2T over ``points``: its sub-trajectories as member rows with their
-    ``cluster_id`` (-1 for outliers), and the representatives that kept
-    members.  ``id_map`` maps synthetic traj_ids back to the original ones
-    (from :func:`_members_to_points`)."""
+    """S2T over ``points`` (on the engine its type picks): its
+    sub-trajectories as member rows with their ``cluster_id`` (-1 for
+    outliers), and the representatives that kept members.  ``id_map`` maps
+    synthetic traj_ids back to the original ones (from
+    :func:`_members_to_points`)."""
     res = s2t_clustering(points, params)
-    assign = res.clusters.toPandas()[["traj_id", "subtraj_id", "cluster_id"]]
+    clusters = res.clusters if isinstance(res.clusters, pd.DataFrame) else res.clusters.toPandas()
+    assign = clusters[["traj_id", "subtraj_id", "cluster_id"]]
     members = res.sub_pdf.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
         {"cluster_id": -1}
     )

@@ -12,6 +12,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pandas as pd
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,11 +60,15 @@ def test_patched_attribute_exists_on_owner(owner, name):
     assert name in vars(obj), f"layers.py patches {owner}.{name}, which no longer exists"
 
 
-def _kernel_groups() -> list[tuple[str, str, str]]:
+def _layers():
     spec = importlib.util.spec_from_file_location("_bench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return sorted((metric, f, fn) for metric, funcs in layers.KERNEL_GROUPS.items()
+    return layers
+
+
+def _kernel_groups() -> list[tuple[str, str, str]]:
+    return sorted((metric, f, fn) for metric, funcs in _layers().KERNEL_GROUPS.items()
                   for f, fn in funcs)
 
 
@@ -78,3 +84,48 @@ def test_kernel_group_function_is_defined(metric, fname, func):
     assert any(func in _defined_functions(p) for p in files), (
         f"{metric}: {func} is no longer defined in {fname}"
     )
+
+
+def _bundle(n_trajs: int) -> pd.DataFrame:
+    """Co-moving trajectories sampled every 10 s, as a pandas points frame."""
+    ts = np.arange(30.0) * 10.0
+    return pd.concat([
+        pd.DataFrame({"traj_id": k, "t": ts, "x": ts * 0.05 + 0.1 * k, "y": 50.0 + 0.1 * k})
+        for k in range(n_trajs)
+    ], ignore_index=True)
+
+
+def test_qut_boundary_path_reaches_tree_s2t_clustering(tmp_path, monkeypatch):
+    """A window half a chunk off re-clusters its boundary slabs through
+    ``tree_mod.s2t_clustering``, the name ``layers.py`` wraps, on the
+    in-process engine, whose timings hold every phase
+    ``layers.retratree_wrappers`` adds up."""
+    from repro.core.s2t import S2TParams
+    from repro.retratree import tree as tree_mod
+    from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION
+
+    tree = tree_mod.ReTraTree(tmp_path, S2TParams(sigma=1.0), chunk_width=150.0)
+    pts = _bundle(4)
+    for cid in (0, 1):
+        piece = pts[(pts["t"] >= 150.0 * cid) & (pts["t"] < 150.0 * (cid + 1))]
+        tree.store.write(cid, OUTLIER_PARTITION, pd.DataFrame([
+            {"traj_id": tid, "subtraj_id": 0, "t_start": g["t"].iloc[0],
+             "t_end": g["t"].iloc[-1], "sum_vote": 0.0, "ts": g["t"].to_numpy(),
+             "xs": g["x"].to_numpy(), "ys": g["y"].to_numpy()}
+            for tid, g in piece.groupby("traj_id")
+        ], columns=MEMBER_COLS))
+        tree._chunk_entry(cid)
+    calls, real = [], tree_mod.s2t_clustering
+
+    def counting(points, params):
+        res = real(points, params)
+        calls.append((type(points), set(res.timings)))
+        return res
+
+    monkeypatch.setattr(tree_mod, "s2t_clustering", counting)
+    qr = tree.qut(75.0, 225.0)
+    assert qr.n_partial == 2 and len(calls) == 1
+    kind, timings = calls[0]
+    assert kind is pd.DataFrame and set(_layers().S2T_PHASES) | {"total"} <= timings
+    assert qr.rows["cluster"].notna().any()
+    assert set(qr.rows["traj_id"]) == {0, 1, 2, 3}

@@ -18,6 +18,8 @@ def test_table_a_miniature(spark, tmp_path):
     assert list(df["W_frac"]) == [0.5, 1.0, 0.5]
     assert list(df["aligned"]) == [True, True, False]
     assert (df["qut_s"] > 0).all() and (df["baseline_s"] > 0).all()
+    assert (df["baseline_inproc_s"] > 0).all()
+    assert np.allclose(df["speedup_inproc"], df["baseline_inproc_s"] / df["qut_s"])
     # chunk-aligned windows are answered purely by reuse -> large speedup
     aligned = df[df.aligned]
     assert (aligned["n_partial"] == 0).all()

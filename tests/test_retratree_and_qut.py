@@ -325,7 +325,7 @@ def test_point_labels_rows_order_dtypes(rows, expected):
 def test_read_chunk_slice_keeps_rows_with_two_points(tmp_path):
     """Rows are clipped to [lo, hi] (bounds inclusive); a row keeping
     fewer than two points is dropped."""
-    tree = ReTraTree(None, tmp_path, TEST_PARAMS, chunk_width=100.0)
+    tree = ReTraTree(tmp_path, TEST_PARAMS, chunk_width=100.0)
 
     def member(tid, ts):
         ts = np.asarray(ts, dtype=np.float64)

@@ -101,11 +101,25 @@ def sub_rows(voted):
     return segment_trajectories(voted, **NATS).toPandas()
 
 
-def test_forced_gap_boundary(spark):
+def test_forced_gap_boundary(spark, mod_pdf):
     voted = _toy_voted(spark, np.zeros(20), gap_at=10)
     out = segment_trajectories(voted, **NATS).toPandas().sort_values("subtraj_id")
     assert out["subtraj_id"].tolist() == [0, 1]
     assert out["n_segs"].tolist() == [10, 10]
+
+    # a real MOD with a sampling hole: segments of points chain, so the
+    # hole is one long segment, cut off on both sides
+    tid = mod_pdf.groupby("traj_id").size().idxmax()
+    traj = mod_pdf[mod_pdf["traj_id"] == tid].sort_values("t")
+    hole = traj.index[60:80]
+    before, after = traj["t"].iloc[59], traj["t"].iloc[80]
+    assert after - before > NATS["max_gap"]
+    seg = points_to_segments(make_points_df(spark, mod_pdf.drop(hole)))
+    out = segment_trajectories(vote_segments(seg, sigma=1.0), **NATS).toPandas()
+    mine = out[out["traj_id"] == tid]
+    assert before in set(mine["t_end"]) and after in set(mine["t_start"])
+    bridge = mine[mine["t_start"] == before]
+    assert bridge["t_end"].tolist() == [after] and bridge["n_segs"].tolist() == [1]
 
 
 def test_no_gap_no_split_flat(spark):
