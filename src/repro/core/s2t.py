@@ -15,12 +15,12 @@ type picks the engine; both run the same kernels:
 - a Spark DataFrame runs each phase as Spark jobs (``applyInPandas``,
   ``mapInPandas``, relational aggregation), caching and forcing each
   intermediate so per-phase wall times are real (Table C reports them).
-  The batch paths use it: a whole MOD, a ReTraTree chunk build, the QuT
-  baseline;
-- a pandas frame runs every phase in the driver process.  ReTraTree's
-  QuT boundary slabs and outlier re-clusters use it: their few thousand
-  points are read from partitions into the driver, where a Spark run
-  would cost ~20 jobs of fixed overhead for little work.
+  The batch paths use it: a whole MOD, the QuT baseline;
+- a pandas frame runs every phase in the driver process.  Every
+  ReTraTree run uses it: the bulk load's chunks, the QuT boundary slabs
+  and the outlier re-clusters hold a few thousand to a few tens of
+  thousands of points each, where a Spark run would cost ~20 jobs of
+  fixed overhead for little work.
 """
 from __future__ import annotations
 

@@ -22,7 +22,7 @@ def _box_consistent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Overlap predicate, vectorized over a node's keys."""
     q = np.asarray(query, dtype=np.float64)
     lo, hi = keys[:, :_DIM], keys[:, _DIM:]
-    return np.all(lo <= q[_DIM:], axis=1) & np.all(hi >= q[:_DIM], axis=1)
+    return ((lo <= q[_DIM:]) & (hi >= q[:_DIM])).all(axis=1)
 
 
 def _box_union(keys: np.ndarray) -> np.ndarray:

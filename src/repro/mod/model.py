@@ -79,24 +79,6 @@ def points_to_segments(points: DataFrame | pd.DataFrame) -> DataFrame | pd.DataF
     ).select(*SEGMENT_COLS)
 
 
-def trajectory_extents(points: DataFrame) -> DataFrame:
-    """Per-trajectory temporal/spatial extents: one row per ``traj_id``.
-
-    Columns: traj_id, t_min, t_max, x_min, x_max, y_min, y_max, n_points.
-    A MOD summary for the generators' sanity tests (oracle-checked — it
-    is a plain aggregation).
-    """
-    return points.groupBy("traj_id").agg(
-        F.min("t").alias("t_min"),
-        F.max("t").alias("t_max"),
-        F.min("x").alias("x_min"),
-        F.max("x").alias("x_max"),
-        F.min("y").alias("y_min"),
-        F.max("y").alias("y_max"),
-        F.count(F.lit(1)).alias("n_points"),
-    )
-
-
 def temporal_range(points: DataFrame, t_start: float, t_end: float) -> DataFrame:
     """Temporal range query: points with ``t`` in ``[t_start, t_end]``.
 

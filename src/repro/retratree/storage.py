@@ -91,13 +91,6 @@ class PartitionStore:
         are row positions in :meth:`read`'s frame."""
         return self._build_rtree(self.read(chunk_id, name))
 
-    def delete(self, chunk_id: int, name: str) -> None:
-        d = self._dir(chunk_id, name)
-        if d.exists():
-            for p in d.iterdir():
-                p.unlink()
-            d.rmdir()
-
     def list_partitions(self, chunk_id: int) -> list[str]:
         cd = self.root / f"chunk={chunk_id}"
         if not cd.exists():

@@ -33,11 +33,11 @@ clustering); boundary chunks are re-clustered on just their clipped
 slice; clusters of adjacent regions are merged when their
 representatives are spatio-temporally continuous (QUT's ``d``).
 
-Which S2T engine runs where: the bulk load clusters each chunk of the
-MOD, a Spark DataFrame, as Spark jobs.  The outlier re-cluster and the
-QuT boundary slabs start from partition rows already read into the
-driver, so S2T runs there on a pandas frame (:func:`_members_to_points`)
-and the tree holds no Spark session.
+Which S2T engine runs where: every S2T run of the tree is in the driver
+process, on a pandas frame.  The bulk load collects the MOD's points once
+and clusters each chunk's rows; the outlier re-cluster and the QuT
+boundary slabs start from partition rows already read into the driver
+(:func:`_members_to_points`).  The tree holds no Spark session.
 """
 from __future__ import annotations
 
@@ -162,30 +162,43 @@ class ReTraTree:
     def build(
         cls,
         spark: SparkSession,
-        points: DataFrame,
+        points: DataFrame | pd.DataFrame,
         root: str | Path,
         params: S2TParams,
         *,
         chunk_width: float,
         tau: int = 50,
     ) -> "ReTraTree":
-        """Bulk-load: split the MOD at chunk boundaries and run
-        S2T-Clustering per chunk as Spark jobs (``points`` is a Spark
-        DataFrame, ``spark`` its session), archiving members and outliers.
+        """Bulk-load: collect the MOD's points to the driver once, split
+        them into chunks by :meth:`insert`'s rule (``floor(t /
+        chunk_width)``) and run S2T-Clustering on each chunk's rows in the
+        driver process, archiving members and outliers.  Every chunk id
+        from the first to the last gets an entry, empty ones included.
+        ``spark`` is unused: it is accepted only for the call signature
+        that callers holding a Spark DataFrame already use.
 
         Segments crossing a chunk boundary are split at the boundary by
         construction (each chunk clusters only its own samples) — the
         temporal partitioning of ReTraTree level 1.
         """
         tree = cls(root, params, chunk_width=chunk_width, tau=tau)
-        t_min, t_max = points.selectExpr("min(t)", "max(t)").first()
-        first = int(np.floor(t_min / chunk_width))
-        last = int(np.floor((t_max - 1e-9) / chunk_width))
-        for cid in range(first, last + 1):
-            lo, hi = cid * chunk_width, (cid + 1) * chunk_width
-            cpts = points.where((points.t >= lo) & (points.t < hi))
-            tree._cluster_chunk(cid, cpts)
+        chunks = dict(iter(tree._points_by_chunk(points).groupby("chunk")))
+        for cid in range(min(chunks, default=0), max(chunks, default=-1) + 1):
+            entry = tree._chunk_entry(cid)
+            if cid in chunks:
+                tree._archive(entry, *_run_s2t(chunks[cid], params))
         return tree
+
+    def _points_by_chunk(self, points: DataFrame | pd.DataFrame) -> pd.DataFrame:
+        """Caller points, a Spark or pandas frame, as a pandas frame of
+        ``traj_id, t, x, y`` plus each point's ``chunk``."""
+        cols = ["traj_id", "t", "x", "y"]
+        if isinstance(points, DataFrame):
+            pdf = points.select(*cols).toPandas()
+        else:
+            pdf = points[cols].copy()
+        pdf["chunk"] = np.floor(pdf["t"].to_numpy() / self.chunk_width).astype(np.int64)
+        return pdf
 
     def _chunk_entry(self, cid: int) -> ChunkEntry:
         if cid not in self.chunks:
@@ -195,13 +208,6 @@ class ReTraTree:
                 t_hi=(cid + 1) * self.chunk_width,
             )
         return self.chunks[cid]
-
-    def _cluster_chunk(self, cid: int, cpts: DataFrame) -> None:
-        """Run S2T on one chunk's points and archive the outcome."""
-        entry = self._chunk_entry(cid)
-        if cpts.limit(1).count() == 0:
-            return
-        self._archive(entry, *_run_s2t(cpts, self.params))
 
     def _archive(
         self, entry: ChunkEntry, members: pd.DataFrame, reps: list[Representative]
@@ -234,9 +240,7 @@ class ReTraTree:
 
         Returns counters: assigned / outliers / reclustered_chunks.
         """
-        pdf = points.toPandas() if isinstance(points, DataFrame) else points.copy()
-        pdf = pdf.sort_values(["traj_id", "t"])
-        pdf["chunk"] = np.floor(pdf["t"].to_numpy() / self.chunk_width).astype(np.int64)
+        pdf = self._points_by_chunk(points).sort_values(["traj_id", "t"])
         stats = {"assigned": 0, "outliers": 0, "reclustered_chunks": 0}
         targets: dict[tuple[int, str], list[dict]] = {}
         for (tid, cid), piece in pdf.groupby(["traj_id", "chunk"]):
@@ -447,20 +451,18 @@ def _members_to_points(members: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]
 
 
 def _run_s2t(
-    points: DataFrame | pd.DataFrame, params: S2TParams, id_map: np.ndarray | None = None
+    points: pd.DataFrame, params: S2TParams, id_map: np.ndarray | None = None
 ) -> tuple[pd.DataFrame, list[Representative]]:
-    """S2T over ``points`` (on the engine its type picks): its
+    """S2T over a pandas points frame, in the driver process: its
     sub-trajectories as member rows with their ``cluster_id`` (-1 for
     outliers), and the representatives that kept members.  ``id_map`` maps
     synthetic traj_ids back to the original ones (from
     :func:`_members_to_points`)."""
     res = s2t_clustering(points, params)
-    clusters = res.clusters if isinstance(res.clusters, pd.DataFrame) else res.clusters.toPandas()
-    assign = clusters[["traj_id", "subtraj_id", "cluster_id"]]
+    assign = res.clusters[["traj_id", "subtraj_id", "cluster_id"]]
     members = res.sub_pdf.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
         {"cluster_id": -1}
     )
-    res.unpersist()
     if id_map is not None:
         members["traj_id"] = id_map[members["traj_id"].to_numpy()]
     live = set(members["cluster_id"])

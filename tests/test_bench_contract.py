@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "hermesbench" / "layers.py"
+WORKLOADS = ROOT / "hermesbench" / "workloads.py"
 SRC = ROOT / "src" / "repro"
 
 
@@ -84,6 +86,25 @@ def test_kernel_group_function_is_defined(metric, fname, func):
     assert any(func in _defined_functions(p) for p in files), (
         f"{metric}: {func} is no longer defined in {fname}"
     )
+
+
+def _build_calls() -> list[ast.Call]:
+    return [node for node in ast.walk(ast.parse(WORKLOADS.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "build" and getattr(node.func.value, "id", None) == "ReTraTree"]
+
+
+def test_build_accepts_the_workload_call_shape():
+    """``workloads.py`` calls ``ReTraTree.build(spark, points, root, params,
+    chunk_width=...)``; the build no longer uses ``spark`` but must keep
+    accepting every call there, argument for argument."""
+    from repro.retratree.tree import ReTraTree
+
+    calls = _build_calls()
+    assert calls, "workloads.py no longer calls ReTraTree.build"
+    sig = inspect.signature(ReTraTree.build)
+    for call in calls:
+        sig.bind(*(None for _ in call.args), **{kw.arg: None for kw in call.keywords})
 
 
 def _bundle(n_trajs: int) -> pd.DataFrame:

@@ -12,7 +12,6 @@ from repro.mod.model import (
     make_points_df,
     points_to_segments,
     temporal_range,
-    trajectory_extents,
 )
 from repro.oracle import assert_equivalent
 
@@ -56,16 +55,6 @@ def test_segments_per_traj_counts(segments, mod_pdf):
     got = segments.groupBy("traj_id").count().toPandas().set_index("traj_id")["count"]
     for tid, g in mod_pdf.groupby("traj_id"):
         assert got.get(tid, 0) == len(g) - 1
-
-
-def test_trajectory_extents_matches_sql(mod_points, mod_pdf):
-    assert_equivalent(
-        trajectory_extents(mod_points),
-        "SELECT traj_id, min(t) AS t_min, max(t) AS t_max, min(x) AS x_min, "
-        "max(x) AS x_max, min(y) AS y_min, max(y) AS y_max, "
-        "count(*) AS n_points FROM pts GROUP BY traj_id",
-        pts=mod_pdf,
-    )
 
 
 @pytest.mark.parametrize("lo,hi", [(0.0, 1800.0), (900.0, 5400.0), (3600.0, 7200.0)])

@@ -51,18 +51,24 @@ def test_rep_polylines_inside_chunk(retratree):
 
 
 def test_members_conservation(retratree, mod_pdf):
-    """Every archived member polyline point lies in its chunk, and the
-    total number of stored points is <= the MOD's points (boundary
-    samples may be dropped) but covers most of it."""
-    total = 0
+    """Each chunk stores, keyed by ``(traj_id, t)``, exactly the MOD's
+    points with ``floor(t / chunk_width) == chunk_id`` whose piece (one
+    trajectory's points in the chunk) holds at least two distinct
+    timestamps; a point repeats only as an end of every row holding it,
+    where sub-trajectories join."""
+    chunk = np.floor(mod_pdf["t"].to_numpy() / retratree.chunk_width).astype(np.int64)
+    n_ts = mod_pdf.groupby([mod_pdf["traj_id"], chunk])["t"].transform("nunique").to_numpy()
     for c in retratree.chunks.values():
+        mine = mod_pdf[(chunk == c.chunk_id) & (n_ts >= 2)]
+        counts, ends = Counter(), Counter()
         for name in retratree.store.list_partitions(c.chunk_id):
             mem = retratree.store.read(c.chunk_id, name)
-            for _, r in mem.iterrows():
-                assert r["ts"][0] >= c.t_lo - 1e-6 and r["ts"][-1] < c.t_hi + 1e-6
-                total += len(r["ts"])
-    assert total <= len(mod_pdf)
-    assert total >= 0.7 * len(mod_pdf)
+            for tid, ts in zip(mem["traj_id"], mem["ts"]):
+                for i, t in enumerate(ts):
+                    counts[int(tid), float(t)] += 1
+                    ends[int(tid), float(t)] += i in (0, len(ts) - 1)
+        assert set(counts) == set(zip(mine["traj_id"].astype(int), mine["t"].astype(float)))
+        assert all(n == 1 or ends[k] == n for k, n in counts.items())
 
 
 # ------------------------------------------------------------------ insert
@@ -152,14 +158,12 @@ def test_recluster_never_overwrites_a_live_partition(spark, tmp_path, monkeypatc
     gap in the chunk's rep_idx; the outlier re-cluster must name its new
     partitions past the highest live one, so no stored row is lost or
     read twice."""
-    from pyspark.sql import functions as F
-
     real = tree_mod.s2t_clustering
 
     def dissolve_rep0(points, params):
         res = real(points, params)
-        cid = F.col("cluster_id")
-        res.clusters = res.clusters.withColumn("cluster_id", F.when(cid == 0, -1).otherwise(cid))
+        cid = res.clusters["cluster_id"]
+        res.clusters["cluster_id"] = cid.where(cid != 0, -1)
         return res
 
     two_bundles = _co_moving_batch(spark, 3, t0=0.0, base_id=0, x0=0.0).union(

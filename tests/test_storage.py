@@ -96,12 +96,6 @@ def test_empty_partition_roundtrip(store):
     assert len(store.read_rtree(0, OUTLIER_PARTITION)) == 0
 
 
-def test_delete(store):
-    store.write(0, "rep-0", _members(2))
-    store.delete(0, "rep-0")
-    assert not store.exists(0, "rep-0")
-
-
 def test_meta_time_bounds(store):
     m = _members(6, t0=500.0)
     meta = store.write(0, "rep-0", m)
