@@ -9,112 +9,59 @@ Each sub-trajectory is assigned to the nearest representative by
 time-synchronized distance if that distance is within the clustering
 radius ``eps``; otherwise it is an outlier (cluster -1).  Clusters that
 end up smaller than ``min_cluster_size`` (the QUT ``gamma`` parameter)
-are dissolved into outliers.  The representative set is small and is
-shipped to executors inside the `mapInPandas` closure (the explicit
-broadcast-variable path adds nothing at this size); assignment is
-embarrassingly parallel over sub-trajectory rows.  Sub-trajectories
-already on the driver (a pandas frame) are assigned there, in one batch.
+are dissolved into outliers.  The distances are the matrix sampling
+filled while it picked the representatives
+(``core.sampling.sample_representatives``), so assignment is numpy on
+the driver, whichever engine ran the NaTS phase.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql import Window
-
-from repro.core.distance import sync_distance_to_many
-from repro.core.sampling import Representative
 
 OUTLIER = -1
 
-_ASSIGN_SCHEMA = "traj_id long, subtraj_id long, cluster_id long, dist double"
+
+def _assign_batch(dist: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the N x R distance matrix: the nearest representative
+    and its distance, or -1 and inf when none lies within ``eps``."""
+    if dist.shape[1] == 0:
+        return np.full(len(dist), OUTLIER, dtype=np.int64), np.full(len(dist), np.inf)
+    j = np.argmin(dist, axis=1)
+    d = dist[np.arange(len(dist)), j]
+    hit = d <= eps
+    return np.where(hit, j, OUTLIER), np.where(hit, d, np.inf)
 
 
-def _assign_batch(pdf: pd.DataFrame, reps_arrs, eps, n_samples, min_overlap) -> pd.DataFrame:
-    n = len(pdf)
-    cluster = np.full(n, OUTLIER, dtype=np.int64)
-    dist = np.full(n, np.inf, dtype=np.float64)
-    for k in range(n):
-        ts = np.asarray(pdf["ts"].iloc[k], dtype=np.float64)
-        xs = np.asarray(pdf["xs"].iloc[k], dtype=np.float64)
-        ys = np.asarray(pdf["ys"].iloc[k], dtype=np.float64)
-        d = sync_distance_to_many(
-            ts, xs, ys, reps_arrs, n_samples=n_samples, min_overlap=min_overlap
-        )
-        j = int(np.argmin(d)) if len(d) else -1
-        if j >= 0 and d[j] <= eps:
-            cluster[k] = j
-            dist[k] = d[j]
-    return pd.DataFrame(
-        {
-            "traj_id": pdf["traj_id"].to_numpy(dtype=np.int64),
-            "subtraj_id": pdf["subtraj_id"].to_numpy(dtype=np.int64),
-            "cluster_id": cluster,
-            "dist": dist,
-        }
-    )
-
-
-def _dissolve(assigned: pd.DataFrame, min_cluster_size: int) -> pd.DataFrame:
-    """Turn the members of clusters smaller than ``min_cluster_size`` into
-    outliers (``dist`` inf)."""
-    size = assigned.groupby("cluster_id")["cluster_id"].transform("size")
-    small = (assigned["cluster_id"] != OUTLIER) & (size < min_cluster_size)
-    return assigned.assign(
-        cluster_id=assigned["cluster_id"].mask(small, OUTLIER),
-        dist=assigned["dist"].mask(small, np.inf),
-    )
+def _dissolve(cluster: np.ndarray, min_cluster_size: int) -> np.ndarray:
+    """Members of clusters smaller than ``min_cluster_size``."""
+    size = np.bincount(cluster - OUTLIER)  # slot 0 counts the outliers
+    return (cluster != OUTLIER) & (size[cluster - OUTLIER] < min_cluster_size)
 
 
 def assign_clusters(
-    subtrajs: DataFrame | pd.DataFrame,
-    reps: list[Representative],
+    sub_pdf: pd.DataFrame,
+    dist: np.ndarray,
     *,
     eps: float,
-    min_cluster_size: int = 1,
-    n_samples: int = 32,
-    min_overlap: float = 0.0,
-) -> DataFrame | pd.DataFrame:
+    min_cluster_size: int,
+) -> pd.DataFrame:
     """Assign every sub-trajectory to a representative or to the outliers.
 
-    Returns (traj_id, subtraj_id, cluster_id, dist), as the same frame
-    kind as ``subtrajs``; ``cluster_id`` is the representative's
-    ``rep_id`` or -1, ``dist`` the assignment distance (inf for
-    outliers).  ``min_cluster_size`` dissolves undersized clusters
-    (QUT's gamma).  A pandas frame is assigned in-process, in one batch.
+    ``dist`` holds the distance of each row of ``sub_pdf`` to each
+    representative (``sample_representatives``).  Returns (traj_id,
+    subtraj_id, cluster_id, dist) in ``sub_pdf``'s row order;
+    ``cluster_id`` is the representative's ``rep_id`` or -1, ``dist``
+    the assignment distance (inf for outliers).  ``min_cluster_size``
+    dissolves undersized clusters (QUT's gamma).
     """
-    reps_arrs = [(r.ts, r.xs, r.ys) for r in reps]
-    if isinstance(subtrajs, pd.DataFrame):
-        assigned = _assign_batch(subtrajs, reps_arrs, eps, n_samples, min_overlap)
-        return _dissolve(assigned, min_cluster_size) if min_cluster_size > 1 else assigned
-
-    def run(it):
-        for pdf in it:
-            yield _assign_batch(pdf, reps_arrs, eps, n_samples, min_overlap)
-
-    assigned = subtrajs.select(
-        "traj_id", "subtraj_id", "ts", "xs", "ys"
-    ).mapInPandas(run, schema=_ASSIGN_SCHEMA)
-
-    if min_cluster_size > 1:
-        w = Window.partitionBy("cluster_id")
-        assigned = (
-            assigned.withColumn("csize", F.count(F.lit(1)).over(w))
-            .withColumn(
-                "cluster_id",
-                F.when(
-                    (F.col("cluster_id") != OUTLIER)
-                    & (F.col("csize") < F.lit(min_cluster_size)),
-                    F.lit(OUTLIER),
-                ).otherwise(F.col("cluster_id")),
-            )
-            .withColumn(
-                "dist",
-                F.when(F.col("cluster_id") == OUTLIER, F.lit(float("inf"))).otherwise(
-                    F.col("dist")
-                ),
-            )
-            .drop("csize")
-        )
-    return assigned
+    cluster, d = _assign_batch(dist, eps)
+    small = _dissolve(cluster, min_cluster_size)
+    return pd.DataFrame(
+        {
+            "traj_id": sub_pdf["traj_id"].to_numpy(dtype=np.int64),
+            "subtraj_id": sub_pdf["subtraj_id"].to_numpy(dtype=np.int64),
+            "cluster_id": np.where(small, OUTLIER, cluster),
+            "dist": np.where(small, np.inf, d),
+        }
+    )

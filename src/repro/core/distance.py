@@ -128,9 +128,8 @@ def sync_distance_to_many(
 ) -> np.ndarray:
     """Distance of one polyline to each of ``reps`` (list of (ts, xs, ys)).
 
-    The greedy-clustering inner loop: the representative set is small
-    (it is broadcast to executors), so a simple loop over reps with a
-    vectorized grid per pair is the right cost model.
+    The one-row case: ReTraTree's insert places a piece by its distance
+    to each representative of its chunk.
     """
     out = np.empty(len(reps), dtype=np.float64)
     for i, (rts, rxs, rys) in enumerate(reps):

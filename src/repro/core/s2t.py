@@ -4,19 +4,21 @@ Phase 1, NaTS: voting (``core.voting``) then segmentation
 (``core.segmentation``), which cuts each trajectory and assembles its
 sub-trajectory rows (``core.subtraj``) in one per-trajectory pass.
 Phase 2, SaCO: sampling (``core.sampling``), greedy clustering with
-outlier isolation (``core.clustering``).
+outlier isolation (``core.clustering``); it runs on the driver over the
+sub-trajectory table, with one distance matrix, for either engine.
 
 :func:`s2t_clustering` orchestrates the phases over a points frame and
 returns everything downstream consumers need: votes, sub-trajectories
 (as a frame and as the driver-side table sampling ran on),
 representatives, cluster assignment and the timing breakdown.  The input
-type picks the engine; both run the same kernels:
+type picks the engine of the NaTS phase; both run the same kernels:
 
-- a Spark DataFrame runs each phase as Spark jobs (``applyInPandas``,
-  ``mapInPandas``, relational aggregation), caching and forcing each
-  intermediate so per-phase wall times are real (Table C reports them).
-  The batch paths use it: a whole MOD, the QuT baseline;
-- a pandas frame runs every phase in the driver process.  Every
+- a Spark DataFrame runs it as Spark jobs (``applyInPandas``,
+  relational aggregation), caching and forcing each intermediate so
+  per-phase wall times are real (Table C reports them), then collects
+  the sub-trajectory table for SaCO.  The batch paths use it: a whole
+  MOD, the QuT baseline;
+- a pandas frame runs it in the driver process.  Every
   ReTraTree run uses it: the bulk load's chunks, the QuT boundary slabs
   and the outlier re-clusters hold a few thousand to a few tens of
   thousands of points each, where a Spark run would cost ~20 jobs of
@@ -37,6 +39,10 @@ from repro.core.segmentation import segment_trajectories
 from repro.core.subtraj import subtrajs_to_pandas
 from repro.core.voting import vote_segments
 from repro.mod.model import points_to_segments
+
+#: ``S2TResult.clusters`` as ``point_labels`` ships it; explicit, so an
+#: empty table converts too.
+_CLUSTER_SCHEMA = "traj_id long, subtraj_id long, cluster_id long"
 
 
 @dataclass
@@ -77,15 +83,17 @@ class S2TParams:
 
 @dataclass
 class S2TResult:
-    """Outputs of one S2T run, as frames of the input's kind (Spark
-    DataFrames are cached and materialised).
+    """Outputs of one S2T run.  The NaTS frames are of the input's kind
+    (Spark DataFrames are cached and materialised); the SaCO outputs are
+    driver-side on both engines.
 
     ``segments`` and ``voted`` — the segments, without and with ``vote``;
     ``subtrajs`` — the sub-trajectory rows (``core.subtraj.SUBTRAJ_SCHEMA``);
     ``sub_pdf`` — the same rows on the driver, polylines as numpy arrays,
-    for sampling (``subtrajs_to_pandas``); ``reps`` — the sampled
-    representatives; ``clusters`` — (traj_id, subtraj_id, cluster_id,
-    dist); ``timings`` — seconds per phase (``prepare``, ``voting``,
+    sorted by (traj_id, subtraj_id) (``subtrajs_to_pandas``); ``reps`` —
+    the sampled representatives; ``clusters`` — pandas (traj_id,
+    subtraj_id, cluster_id, dist) in ``sub_pdf``'s row order;
+    ``timings`` — seconds per phase (``prepare``, ``voting``,
     ``segmentation``, ``sampling``, ``clustering``) and ``total``.
     """
 
@@ -94,11 +102,11 @@ class S2TResult:
     subtrajs: DataFrame | pd.DataFrame
     sub_pdf: pd.DataFrame
     reps: list[Representative]
-    clusters: DataFrame | pd.DataFrame
+    clusters: pd.DataFrame
     timings: dict[str, float] = field(default_factory=dict)
 
     def unpersist(self) -> None:
-        for df in (self.segments, self.voted, self.subtrajs, self.clusters):
+        for df in (self.segments, self.voted, self.subtrajs):
             if isinstance(df, DataFrame):
                 df.unpersist()
 
@@ -138,7 +146,7 @@ def s2t_clustering(
 
     t0 = time.perf_counter()
     sub_pdf = subtrajs_to_pandas(subtrajs)
-    reps = sample_representatives(
+    reps, dist = sample_representatives(
         sub_pdf,
         eps=p.eps_eff,
         max_reps=p.max_reps,
@@ -150,14 +158,9 @@ def s2t_clustering(
     timings["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    clusters = _materialise(assign_clusters(
-        subtrajs,
-        reps,
-        eps=p.eps_eff,
-        min_cluster_size=p.min_cluster_size,
-        n_samples=p.n_samples,
-        min_overlap=p.min_overlap,
-    ))
+    clusters = assign_clusters(
+        sub_pdf, dist, eps=p.eps_eff, min_cluster_size=p.min_cluster_size
+    )
     timings["clustering"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
 
@@ -182,17 +185,19 @@ def point_labels(points: DataFrame, result: S2TResult) -> DataFrame:
     Table D quality metrics.  A point lies on the polyline of that
     sub-trajectory and at most on the one before it (as its end), so it
     takes the largest ``subtraj_id`` whose polyline holds its ``t``.
-    Points on no polyline (one-point trajectories) are outliers.
+    Points on no polyline (one-point trajectories) are outliers.  The
+    driver-side ``clusters`` table is shipped to Spark once, here.
     """
     point_sub = (
         result.subtrajs.select("traj_id", "subtraj_id", F.explode("ts").alias("t"))
         .groupBy("traj_id", "t")
         .agg(F.max("subtraj_id").alias("subtraj_id"))
     )
+    clusters = points.sparkSession.createDataFrame(
+        result.clusters[["traj_id", "subtraj_id", "cluster_id"]], schema=_CLUSTER_SCHEMA
+    )
     out = points.join(point_sub, ["traj_id", "t"], "left").join(
-        result.clusters.select("traj_id", "subtraj_id", "cluster_id"),
-        ["traj_id", "subtraj_id"],
-        "left",
+        clusters, ["traj_id", "subtraj_id"], "left"
     )
     return out.withColumn(
         "cluster_id", F.coalesce(F.col("cluster_id"), F.lit(OUTLIER))

@@ -17,7 +17,9 @@ representativeness-times-novelty greedy maximum-coverage selection
   ``min_gain`` times the best initial score, or at ``max_reps``.
 
 The greedy loop runs on the driver over the (small) sub-trajectory
-summary table; distances are vectorized numpy.
+summary table.  Picking a representative computes its distance to every
+row of the table, not only to the eligible seeds; those columns form the
+distance matrix that clustering (``core.clustering``) assigns from.
 """
 from __future__ import annotations
 
@@ -42,26 +44,16 @@ class Representative:
     score: float
 
 
-def _similarity(arrs_a, rep: Representative, *, eps: float, n_samples: int, min_overlap: float) -> float:
-    d = sync_distance(
-        arrs_a[0], arrs_a[1], arrs_a[2], rep.ts, rep.xs, rep.ys,
-        n_samples=n_samples, min_overlap=min_overlap,
-    )
-    if not np.isfinite(d):
-        return 0.0
-    return float(np.exp(-(d * d) / (2.0 * eps * eps)))
-
-
 def sample_representatives(
     subtrajs_pdf: pd.DataFrame,
     *,
     eps: float,
-    max_reps: int = 64,
-    min_gain: float = 0.05,
-    min_duration: float = 0.0,
-    n_samples: int = 32,
-    min_overlap: float = 0.0,
-) -> list[Representative]:
+    max_reps: int,
+    min_gain: float,
+    min_duration: float,
+    n_samples: int,
+    min_overlap: float,
+) -> tuple[list[Representative], np.ndarray]:
     """Greedy coverage sampling over the collected subtraj table.
 
     ``eps`` — similarity bandwidth (the clustering radius);
@@ -69,50 +61,46 @@ def sample_representatives(
     are not eligible seeds;
     ``min_gain`` — stop threshold relative to the best initial score.
     Deterministic: ties break on (traj_id, subtraj_id) order.
+
+    Returns the representatives and the ``len(subtrajs_pdf) x len(reps)``
+    matrix whose column k holds ``sync_distance(row, rep k)`` for every
+    row, short ones included.
     """
-    cand = subtrajs_pdf[
-        (subtrajs_pdf["t_end"] - subtrajs_pdf["t_start"]) >= min_duration
-    ].reset_index(drop=True)
-    if len(cand) == 0:
-        return []
-    # pre-extract polylines once (bracket access: "xs" shadows Series.xs)
+    if not eps > 0.0:  # the similarity kernel divides by eps
+        raise ValueError(f"eps must be positive, got {eps}")
+    # polylines once (bracket access: "xs" shadows Series.xs)
     arrs = [
-        (
-            np.asarray(cand["ts"].iloc[k], dtype=np.float64),
-            np.asarray(cand["xs"].iloc[k], dtype=np.float64),
-            np.asarray(cand["ys"].iloc[k], dtype=np.float64),
-        )
-        for k in range(len(cand))
+        tuple(np.asarray(a, dtype=np.float64) for a in row)
+        for row in zip(subtrajs_pdf["ts"], subtrajs_pdf["xs"], subtrajs_pdf["ys"])
     ]
-    base = cand["sum_vote"].to_numpy(dtype=np.float64)
-    novelty = np.ones(len(cand), dtype=np.float64)
+    dists: list[np.ndarray] = []
     picked: list[Representative] = []
-    best0 = float((base * novelty).max())
-    if best0 <= 0.0:
-        return []
-    while len(picked) < max_reps:
+    duration = (subtrajs_pdf["t_end"] - subtrajs_pdf["t_start"]).to_numpy()
+    cand = np.flatnonzero(duration >= min_duration)  # rows eligible as seeds
+    base = subtrajs_pdf["sum_vote"].to_numpy(dtype=np.float64)[cand]
+    novelty = np.ones(len(cand), dtype=np.float64)
+    best0 = float(base.max()) if len(cand) else 0.0
+    while best0 > 0.0 and len(picked) < max_reps:
         scores = base * novelty
         i = int(np.argmax(scores))
         s = float(scores[i])
         if s <= 0.0 or s < min_gain * best0:
             break
-        rep = Representative(
+        row = int(cand[i])
+        ts, xs, ys = arrs[row]
+        picked.append(Representative(
             rep_id=len(picked),
-            traj_id=int(cand["traj_id"].iloc[i]),
-            subtraj_id=int(cand["subtraj_id"].iloc[i]),
-            ts=arrs[i][0],
-            xs=arrs[i][1],
-            ys=arrs[i][2],
-            score=s,
-        )
-        picked.append(rep)
+            traj_id=int(subtrajs_pdf["traj_id"].iloc[row]),
+            subtraj_id=int(subtrajs_pdf["subtraj_id"].iloc[row]),
+            ts=ts, xs=xs, ys=ys, score=s,
+        ))
+        d = np.array([
+            sync_distance(*a, ts, xs, ys, n_samples=n_samples, min_overlap=min_overlap)
+            for a in arrs
+        ], dtype=np.float64)
+        dists.append(d)
         # update novelties against the newly picked representative
-        for j in range(len(cand)):
-            if novelty[j] <= 0.0:
-                continue
-            sim = _similarity(
-                arrs[j], rep, eps=eps, n_samples=n_samples, min_overlap=min_overlap
-            )
-            novelty[j] = min(novelty[j], 1.0 - sim)
+        dc = d[cand]
+        novelty = np.minimum(novelty, 1.0 - np.exp(-(dc * dc) / (2.0 * eps * eps)))
         novelty[i] = 0.0
-    return picked
+    return picked, np.stack(dists, axis=1) if dists else np.empty((len(arrs), 0))

@@ -3,8 +3,8 @@
 The SaCO phase (sampling, clustering, outliers) and ReTraTree operate on
 *sub-trajectories*, not raw segments.  This module materialises them:
 one row per (traj_id, subtraj_id) carrying the voting summary and the
-polyline as array columns — the representation that is broadcast
-(representatives) or streamed through `mapInPandas` (candidates).
+polyline as array columns; SaCO reads them on the driver
+(:func:`subtrajs_to_pandas`).
 :func:`_assemble_one` runs inside segmentation's per-trajectory pass
 (``core.segmentation.segment_trajectories``), which emits these rows.
 """

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -114,14 +113,3 @@ class Hermes:
         return qut_clustering(self.trees[dataset], wi, we, tau=int(tau), delta=delta,
                               t=t_min, d=d_merge, gamma=int(gamma))
 
-
-def qut_rows_to_df(spark: SparkSession, result: QuTResult) -> DataFrame:
-    """QuTResult rows as a Spark DataFrame (cluster key as string,
-    outliers as NULL) — the shape a VA tool would consume over SQL."""
-    pdf = result.rows.copy()
-    pdf["cluster"] = pd.array(
-        [c if c is not None else None for c in pdf["cluster"]], dtype="string"
-    )
-    for c in ("ts", "xs", "ys"):
-        pdf[c] = pdf[c].apply(lambda a: [float(v) for v in a])
-    return spark.createDataFrame(pdf[["traj_id", "cluster", "ts", "xs", "ys"]])

@@ -459,10 +459,7 @@ def _run_s2t(
     synthetic traj_ids back to the original ones (from
     :func:`_members_to_points`)."""
     res = s2t_clustering(points, params)
-    assign = res.clusters[["traj_id", "subtraj_id", "cluster_id"]]
-    members = res.sub_pdf.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
-        {"cluster_id": -1}
-    )
+    members = res.sub_pdf.assign(cluster_id=res.clusters["cluster_id"].to_numpy())
     if id_map is not None:
         members["traj_id"] = id_map[members["traj_id"].to_numpy()]
     live = set(members["cluster_id"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mod.hermes import Hermes, qut_rows_to_df
+from repro.mod.hermes import Hermes
 from repro.oracle import assert_equivalent
 from repro.retratree.tree import QuTResult
 
@@ -98,13 +98,6 @@ def test_qut_sql_overrides_gamma(hermes):
     res = hermes.sql("SELECT QUT('mod', 1000, 2600, 5, 3.0, 0, 3.0, 999)")
     bkeys = [c for c in res.rows["cluster"] if c is not None and c.startswith("b")]
     assert bkeys == []
-
-
-def test_qut_rows_to_df(spark, hermes):
-    res = hermes.sql("SELECT QUT('mod', 900, 6300, 5, 3.0, 0, 3.0, 2)")
-    df = qut_rows_to_df(spark, res)
-    assert df.count() == len(res.rows)
-    assert dict(df.dtypes)["cluster"] == "string"
 
 
 def test_non_qut_sql_passthrough(hermes, mod_points):

@@ -66,7 +66,7 @@ def test_point_labels_complete(mod_points, s2t_result):
 def test_reps_are_members_of_their_clusters(s2t_result):
     """Every representative's own sub-trajectory must be assigned to its
     cluster at distance ~0 (unless the cluster was dissolved)."""
-    cl = s2t_result.clusters.toPandas()
+    cl = s2t_result.clusters
     for r in s2t_result.reps:
         row = cl[(cl.traj_id == r.traj_id) & (cl.subtraj_id == r.subtraj_id)]
         assert len(row) == 1
@@ -76,7 +76,7 @@ def test_reps_are_members_of_their_clusters(s2t_result):
 
 
 def test_cluster_ids_within_rep_range(s2t_result):
-    ids = {int(v) for v in s2t_result.clusters.select("cluster_id").distinct().toPandas()["cluster_id"]}
+    ids = set(s2t_result.clusters["cluster_id"].tolist())
     assert ids <= set(range(len(s2t_result.reps))) | {-1}
 
 
@@ -120,7 +120,7 @@ def test_point_labels_degenerate_inputs(spark):
     res = s2t_clustering(pts, S2TParams(sigma=1.0, min_overlap=200.0))
     lab = point_labels(pts, res).toPandas()
     sub = res.subtrajs.toPandas().sort_values(["traj_id", "subtraj_id"])
-    cl = res.clusters.toPandas().set_index(["traj_id", "subtraj_id"])["cluster_id"]
+    cl = res.clusters.set_index(["traj_id", "subtraj_id"])["cluster_id"]
     res.unpersist()
 
     key = ["traj_id", "t", "x", "y"]

@@ -9,7 +9,7 @@ import pandas as pd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.s2t import S2TParams, s2t_clustering
+from repro.core.s2t import S2TParams, point_labels, s2t_clustering
 from repro.mod.model import SEGMENT_COLS, make_points_df, points_to_segments
 from tests.conftest import TEST_PARAMS
 
@@ -131,3 +131,22 @@ def test_empty_points_run_in_process():
     assert len(res.segments) == 0 and len(res.sub_pdf) == 0
     assert res.reps == [] and len(res.clusters) == 0
     assert {"prepare", "voting", "segmentation", "sampling", "clustering", "total"} <= set(res.timings)
+
+
+def test_empty_points_run_on_spark(spark):
+    """One-point trajectories on the Spark engine: no segments, no
+    sub-trajectories, an empty ``clusters`` table, and every point
+    labelled -1."""
+    pdf = pd.DataFrame({"obj_id": [1, 2, 3], "traj_id": [1, 2, 3],
+                        "t": [0.0, 10.0, 20.0], "x": [0.0, 1.0, 2.0], "y": [0.0, 0.0, 0.0]})
+    pts = make_points_df(spark, pdf)
+    res = s2t_clustering(pts, TEST_PARAMS)
+    try:
+        assert res.segments.count() == 0 and res.subtrajs.count() == 0
+        assert len(res.sub_pdf) == 0 and res.reps == []
+        assert isinstance(res.clusters, pd.DataFrame) and len(res.clusters) == 0
+        lab = point_labels(pts, res).toPandas()
+    finally:
+        res.unpersist()
+    assert sorted(lab["traj_id"]) == [1, 2, 3]
+    assert (lab["cluster_id"] == -1).all()

@@ -113,8 +113,18 @@ def _toy_subtrajs() -> pd.DataFrame:
     return pdf
 
 
+def _sample(pdf, *, eps, max_reps, min_gain, min_duration=0.0):
+    """The representatives alone; the distance knobs as in ``S2TParams()``."""
+    reps, dist = sample_representatives(
+        pdf, eps=eps, max_reps=max_reps, min_gain=min_gain,
+        min_duration=min_duration, n_samples=32, min_overlap=0.0,
+    )
+    assert dist.shape == (len(pdf), len(reps))
+    return reps
+
+
 def test_greedy_picks_top_vote_first():
-    reps = sample_representatives(_toy_subtrajs(), eps=2.0, max_reps=3, min_gain=0.01)
+    reps = _sample(_toy_subtrajs(), eps=2.0, max_reps=3, min_gain=0.01)
     assert reps[0].traj_id == 0
     assert reps[0].score == pytest.approx(10.0)
 
@@ -123,35 +133,40 @@ def test_near_duplicate_suppressed_time_distant_kept():
     """Novelty kills the co-temporal near-duplicate; the time-shifted
     twin (similarity 0 — no temporal overlap) is selected: the
     time-awareness of the sampling step."""
-    reps = sample_representatives(_toy_subtrajs(), eps=2.0, max_reps=3, min_gain=0.2)
+    reps = _sample(_toy_subtrajs(), eps=2.0, max_reps=3, min_gain=0.2)
     picked = [r.traj_id for r in reps]
     assert picked == [0, 2]
 
 
 def test_max_reps_cap():
-    reps = sample_representatives(_toy_subtrajs(), eps=0.01, max_reps=1, min_gain=0.0)
+    reps = _sample(_toy_subtrajs(), eps=0.01, max_reps=1, min_gain=0.0)
     assert len(reps) == 1
 
 
 def test_min_duration_filters():
     pdf = _toy_subtrajs()
-    reps = sample_representatives(pdf, eps=2.0, min_duration=1000.0)
+    reps = _sample(pdf, eps=2.0, max_reps=3, min_gain=0.01, min_duration=1000.0)
     assert len(reps) == 0
 
 
 def test_empty_input():
-    assert sample_representatives(_toy_subtrajs().iloc[:0], eps=1.0) == []
+    assert _sample(_toy_subtrajs().iloc[:0], eps=1.0, max_reps=3, min_gain=0.01) == []
+
+
+def test_eps_must_be_positive():
+    with pytest.raises(ValueError, match="eps"):
+        _sample(_toy_subtrajs(), eps=0.0, max_reps=3, min_gain=0.01)
 
 
 def test_zero_votes_yields_nothing():
     pdf = _toy_subtrajs()
     pdf["sum_vote"] = 0.0
-    assert sample_representatives(pdf, eps=1.0) == []
+    assert _sample(pdf, eps=1.0, max_reps=3, min_gain=0.01) == []
 
 
 def test_rep_ids_sequential_and_deterministic(sub_pdf):
-    a = sample_representatives(sub_pdf, eps=3.0, max_reps=10, min_gain=0.1)
-    b = sample_representatives(sub_pdf, eps=3.0, max_reps=10, min_gain=0.1)
+    a = _sample(sub_pdf, eps=3.0, max_reps=10, min_gain=0.1)
+    b = _sample(sub_pdf, eps=3.0, max_reps=10, min_gain=0.1)
     assert [r.rep_id for r in a] == list(range(len(a)))
     assert [(r.traj_id, r.subtraj_id) for r in a] == [
         (r.traj_id, r.subtraj_id) for r in b
@@ -159,7 +174,7 @@ def test_rep_ids_sequential_and_deterministic(sub_pdf):
 
 
 def test_scores_nonincreasing(sub_pdf):
-    reps = sample_representatives(sub_pdf, eps=3.0, max_reps=10, min_gain=0.05)
+    reps = _sample(sub_pdf, eps=3.0, max_reps=10, min_gain=0.05)
     scores = [r.score for r in reps]
     assert scores == sorted(scores, reverse=True)
 
