@@ -1,6 +1,7 @@
-"""Micro-benchmarks of the substrate hot paths: pg3D-Rtree bulk load and
-query, the closed-form voting kernel, and the time-synchronized distance
-— the per-task inner loops whose cost Table A/B aggregate."""
+"""Micro-benchmarks of the substrate hot paths: pg3D-Rtree bulk load,
+single and batched query, the closed-form voting kernel, and the
+time-synchronized distance — the per-task inner loops whose cost
+Table A/B aggregate."""
 import numpy as np
 import pytest
 
@@ -33,6 +34,16 @@ def test_bench_rtree_query_20k(benchmark):
 
     hits = benchmark(run)
     assert hits > 0
+
+
+@pytest.mark.benchmark(group="micro-index")
+def test_bench_rtree_query_many_20k(benchmark):
+    boxes = _boxes(20_000)
+    tree = Rtree3D.bulk_load(boxes)
+    queries = _boxes(2_000, seed=1)
+
+    qi, ids = benchmark(lambda: tree.query_boxes(queries))
+    assert len(qi) == len(ids) == sum(len(tree.query_box(q)) for q in queries) > 0
 
 
 @pytest.mark.benchmark(group="micro-kernel")

@@ -14,10 +14,12 @@ def test_bench_table_c_s2t_scalability(spark, benchmark):
     )
     assert (df["n_points"].diff().dropna() > 0).all()
     big = df.iloc[-1]
-    # sampling operates on the tiny sub-trajectory summary level and
-    # must stay negligible (the paper's SaCO design rationale)
-    assert big["sampling_s"] == min(
-        big["voting_s"], big["segmentation_s"], big["sampling_s"], big["clustering_s"]
+    # SaCO (sampling, then clustering) operates on the small
+    # sub-trajectory summary level, so each of its phases must cost less
+    # than each NaTS phase over the raw segments (the paper's SaCO design
+    # rationale)
+    assert max(big["sampling_s"], big["clustering_s"]) < min(
+        big["voting_s"], big["segmentation_s"]
     )
     # graceful scaling: 5x more points must cost far less than 5x
     # (the pg3D-Rtree prunes candidate pairs to actual neighbours)

@@ -11,12 +11,16 @@ Two implementations, matching Table B of the reproduction:
 
 - :func:`vote_segments` — the *indexed* path (what Hermes runs via
   GiST/pg3D-Rtree): temporal buckets distribute the work across Spark
-  tasks, each task STR-bulk-loads a pg3D-Rtree over its bucket's
-  segments (padded by the spatial cutoff) and only scores index-hit
-  candidate pairs.  Cross-bucket duplicates are resolved by a global
-  max-per-(segment, voter) aggregation followed by a sum over voters —
-  plain relational steps the DuckDB oracle verifies in the tests.  A
-  pandas segments frame runs the same kernel in-process, as one bucket.
+  tasks.  Each task runs :func:`_bucket_votes`: it STR-bulk-loads a
+  pg3D-Rtree over its bucket's segments (padded by the spatial cutoff)
+  and finds every candidate pair with one batched self spatial join
+  (``Rtree3D.query_boxes``: a single tree descent for all of the
+  bucket's segments, after Brinkhoff, Kriegel & Seeger, SIGMOD 1993),
+  then scores only the hits on other trajectories.  Cross-bucket
+  duplicates are resolved by a global max-per-(segment, voter)
+  aggregation followed by a sum over voters — plain relational steps
+  the DuckDB oracle verifies in the tests.  A pandas segments frame runs
+  the same kernel in-process, as one bucket.
 - :func:`vote_segments_naive` — the unindexed comparator ("corresponding
   PostgreSQL function"): a nested-loop scan over all segment pairs with
   only the time-overlap predicate, no index, single task.
@@ -81,26 +85,18 @@ def _pairs_to_votes(
 
 
 def _bucket_votes(pdf: pd.DataFrame, sigma: float, cutoff: float) -> pd.DataFrame:
-    """Per-bucket kernel: pg3D-Rtree candidate generation + scoring."""
+    """Per-bucket kernel: one batched self join of the bucket's segment
+    boxes against a pg3D-Rtree of the same boxes padded by ``cutoff``,
+    then closed-form scoring of the hits on other trajectories."""
     if len(pdf) < 2:
         return _empty_votes()
     seg = _seg_matrix(pdf)
     traj = pdf["traj_id"].to_numpy(dtype=np.int64)
     seg_id = pdf["seg_id"].to_numpy(dtype=np.int64)
     tree = Rtree3D.from_segments(seg, pad=cutoff)
-    qboxes = segment_boxes(seg, pad=0.0)
-    eis, fjs = [], []
-    for i in range(len(seg)):
-        cand = tree.query_box(qboxes[i])
-        cand = cand[traj[cand] != traj[i]]
-        if len(cand):
-            eis.append(np.full(len(cand), i, dtype=np.int64))
-            fjs.append(cand)
-    if not eis:
-        return _empty_votes()
-    return _pairs_to_votes(
-        seg, traj, seg_id, np.concatenate(eis), np.concatenate(fjs), sigma, cutoff
-    )
+    ei, fj = tree.query_boxes(segment_boxes(seg, pad=0.0))
+    other = traj[ei] != traj[fj]
+    return _pairs_to_votes(seg, traj, seg_id, ei[other], fj[other], sigma, cutoff)
 
 
 def _join_votes(segments: pd.DataFrame, pair_votes: pd.DataFrame) -> pd.DataFrame:

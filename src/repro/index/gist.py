@@ -10,8 +10,14 @@ node splits, bulk load from pre-ordered keys) and knows *nothing* about
 boxes or trajectories; :mod:`repro.index.rtree3d` instantiates it into
 the pg3D-Rtree exactly the way Hermes instantiates PostgreSQL's GiST.
 
-Keys are rows of a numpy ``(n, k)`` matrix so ``consistent`` can be
-evaluated vectorised over all entries of a node in one call.
+Keys are rows of a numpy ``(n, k)`` matrix and queries rows of a
+``(q, k')`` matrix, so ``consistent`` is evaluated over all entries of a
+node *and* all queries still routed to it in one call.  Search is the
+batched descent of Brinkhoff, Kriegel & Seeger's R-tree spatial join
+(*Efficient Processing of Spatial Joins Using R-trees*, SIGMOD 1993):
+:meth:`GiST.search_many` walks the tree once for a whole query batch,
+carrying each visited node's surviving query subset, and
+:meth:`GiST.search` is its one-query case.
 """
 from __future__ import annotations
 
@@ -25,10 +31,13 @@ import numpy as np
 class GiSTExtension:
     """The extension interface a concrete access method must provide.
 
-    ``consistent(keys, query) -> bool mask``
-        Which of the ``(n, k)`` keys may contain entries matching
-        ``query``.  Called on internal *and* leaf keys (as in
-        PostgreSQL, where the same support function serves both).
+    ``consistent(keys, queries) -> (m, q) bool mask``
+        Entry ``[i, j]`` says whether key ``i`` of the ``(m, k)`` keys
+        may contain entries matching query ``j`` of the ``(q, k')``
+        queries.  Called on internal *and* leaf keys (as in PostgreSQL,
+        where the same support function serves both), once per visited
+        node for every query routed to it — the batched node test of
+        Brinkhoff et al.'s R-tree join (SIGMOD 1993).
     ``union(keys) -> (k,) key``
         The bounding key of a set of keys (a node's key in its parent).
     ``penalty(key, new) -> float``
@@ -37,7 +46,7 @@ class GiSTExtension:
         Partition an overfull node's keys into two groups.
     """
 
-    consistent: Callable[[np.ndarray, object], np.ndarray]
+    consistent: Callable[[np.ndarray, np.ndarray], np.ndarray]
     union: Callable[[np.ndarray], np.ndarray]
     penalty: Callable[[np.ndarray, np.ndarray], float]
     picksplit: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -78,22 +87,33 @@ class GiST:
     # ------------------------------------------------------------------ search
     def search(self, query) -> np.ndarray:
         """All leaf payload ids whose keys are ``consistent`` with ``query``."""
-        if self.root is None:
-            return np.empty(0, dtype=np.int64)
-        out: list[np.ndarray] = []
-        stack = [self.root]
+        return self.search_many(np.asarray(query)[None])[1]
+
+    def search_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Every (query, payload) match of a ``(q, k')`` query batch.
+
+        Returns aligned int64 arrays ``(query_idx, payload)``.  One
+        descent serves all queries: each frontier entry is a node and the
+        indices of the queries still consistent with its key, so a node
+        costs one ``consistent`` call however many queries reach it.
+        """
+        queries = np.asarray(queries)
+        q_out = [np.empty(0, dtype=np.int64)]
+        p_out = [np.empty(0, dtype=np.int64)]
+        stack = []
+        if self.root is not None and len(queries):
+            stack.append((self.root, np.arange(len(queries), dtype=np.int64)))
         while stack:
-            node = stack.pop()
-            mask = self.ext.consistent(node.keys, query)
+            node, qi = stack.pop()
+            mask = self.ext.consistent(node.keys, queries[qi])
             if node.is_leaf:
-                if mask.any():
-                    out.append(node.values[mask])
+                e, j = np.nonzero(mask)
+                q_out.append(qi[j])
+                p_out.append(node.values[e])
             else:
-                for i in np.flatnonzero(mask):
-                    stack.append(node.children[i])
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
+                for i in np.flatnonzero(mask.any(axis=1)):
+                    stack.append((node.children[i], qi[mask[i]]))
+        return np.concatenate(q_out), np.concatenate(p_out)
 
     # ------------------------------------------------------------------ insert
     def insert(self, key: np.ndarray, value: int) -> None:

@@ -18,11 +18,15 @@ from repro.index.gist import GiST, GiSTExtension
 _DIM = 3
 
 
-def _box_consistent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Overlap predicate, vectorized over a node's keys."""
-    q = np.asarray(query, dtype=np.float64)
-    lo, hi = keys[:, :_DIM], keys[:, _DIM:]
-    return ((lo <= q[_DIM:]) & (hi >= q[:_DIM])).all(axis=1)
+def _box_consistent(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Closed-interval overlap of ``(m, 6)`` keys with ``(q, 6)`` query
+    boxes, as the ``(m, q)`` mask.  The per-axis tests are one ``(3, m, q)``
+    bool array (no ``(m, q, 6)`` float intermediate); the queries are
+    transposed to contiguous rows so each comparison streams them."""
+    k = keys.T[:, :, None]
+    q = np.ascontiguousarray(queries.T)[:, None, :]
+    axis_ok = (k[:_DIM] <= q[_DIM:]) & (k[_DIM:] >= q[:_DIM])
+    return axis_ok[0] & axis_ok[1] & axis_ok[2]
 
 
 def _box_union(keys: np.ndarray) -> np.ndarray:
@@ -95,8 +99,9 @@ class Rtree3D:
     level-4 partition's index, built from its rows on demand by
     ``PartitionStore.read_rtree``); ``insert`` routes single boxes
     through GiST's ``penalty``/``picksplit`` callbacks; ``query_box``
-    returns payload ids of boxes overlapping the query.  Instances pickle
-    with Python's default pickling.
+    returns payload ids of boxes overlapping the query, and
+    ``query_boxes`` every (query, id) overlap of a batch in one descent.
+    Instances pickle with Python's default pickling.
     """
 
     def __init__(self, max_entries: int = 32):
@@ -136,6 +141,11 @@ class Rtree3D:
     def query_box(self, box: np.ndarray) -> np.ndarray:
         """Ids of indexed boxes overlapping ``box`` ([xmin,ymin,tmin,xmax,ymax,tmax])."""
         return self._gist.search(np.asarray(box, dtype=np.float64))
+
+    def query_boxes(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(query_idx, id)`` of every indexed box overlapping a row of the
+        ``(q, 6)`` ``boxes``: a batched self or cross join on the tree."""
+        return self._gist.search_many(np.asarray(boxes, dtype=np.float64))
 
     # -- stats / misc -------------------------------------------------------
     def __len__(self) -> int:

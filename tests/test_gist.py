@@ -144,3 +144,61 @@ def test_property_search_equals_brute(n, qseed):
     got = np.sort(t.search(q))
     exp = _brute(boxes, q) if n else np.empty(0, dtype=np.int64)
     np.testing.assert_array_equal(got, exp)
+
+
+# ------------------------------------------------------------- batched search
+def _grid_boxes(data: st.DataObject, n: int) -> np.ndarray:
+    """Boxes on a coarse integer grid: zero extents and boxes that only
+    touch faces are common, which exercises the closed-interval test."""
+    cells = data.draw(st.lists(
+        st.tuples(*[st.integers(0, 8)] * 3, *[st.integers(0, 3)] * 3),
+        min_size=n, max_size=n,
+    ))
+    a = np.array(cells, dtype=np.float64).reshape(n, 6)
+    return np.concatenate([a[:, :3], a[:, :3] + a[:, 3:]], axis=1)
+
+
+def _pair_set(qi: np.ndarray, ids: np.ndarray) -> set[tuple[int, int]]:
+    assert qi.dtype == np.int64 and ids.dtype == np.int64 and len(qi) == len(ids)
+    pairs = set(zip(qi.tolist(), ids.tolist()))
+    assert len(pairs) == len(qi), "a (query, id) pair was returned twice"
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 120), st.integers(0, 40),
+       st.integers(4, 32), st.booleans())
+def test_property_search_many_equals_brute_and_search(data, n, q, fanout, bulk):
+    boxes = _grid_boxes(data, n)
+    queries = _grid_boxes(data, q)
+    t = GiST(BOX3D_EXTENSION, max_entries=fanout)
+    if bulk:
+        t.bulk_load(boxes, np.arange(n))
+    else:
+        for i in range(n):
+            t.insert(boxes[i], i)
+    got = _pair_set(*t.search_many(queries))
+    brute = {(j, int(i)) for j in range(q) for i in _brute(boxes, queries[j])}
+    per_query = {(j, int(i)) for j in range(q) for i in t.search(queries[j])}
+    assert got == brute == per_query
+
+
+def test_search_many_face_touching_and_zero_extent():
+    boxes = np.array([[0, 0, 0, 1, 1, 1], [1, 0, 0, 2, 1, 1], [3, 3, 3, 3, 3, 3]], float)
+    t = GiST(BOX3D_EXTENSION, max_entries=4)
+    t.bulk_load(boxes, np.arange(3))
+    queries = np.array([[1, 1, 1, 1, 1, 1],      # a corner shared by boxes 0 and 1
+                        [3, 3, 3, 3, 3, 3],      # the zero-extent box itself
+                        [2.5, 0, 0, 2.9, 1, 1]], float)  # between the boxes
+    assert _pair_set(*t.search_many(queries)) == {(0, 0), (0, 1), (1, 2)}
+
+
+def test_search_many_empty_tree_and_no_queries():
+    empty = GiST(BOX3D_EXTENSION)
+    full = GiST(BOX3D_EXTENSION)
+    full.bulk_load(_rand_boxes(50, seed=5), np.arange(50))
+    for tree, queries in [(empty, _rand_boxes(3, seed=6)), (empty, np.empty((0, 6))),
+                          (full, np.empty((0, 6)))]:
+        qi, ids = tree.search_many(queries)
+        assert qi.dtype == ids.dtype == np.int64
+        assert len(qi) == len(ids) == 0

@@ -138,3 +138,42 @@ def test_property_query_equals_brute(n, qseed):
     t = Rtree3D.bulk_load(boxes, max_entries=8)
     q = _rand_boxes(1, seed=qseed)[0]
     np.testing.assert_array_equal(np.sort(t.query_box(q)), _brute(boxes, q))
+
+
+# --------------------------------------------------------- batched queries
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 60), st.integers(4, 32),
+       st.booleans(), st.integers(0, 10_000))
+def test_property_query_boxes_equals_brute_and_query_box(n, q, fanout, bulk, seed):
+    """Grid-snapped boxes, a third of them collapsed to points: zero
+    extents and face-only contacts are common."""
+    g = np.random.default_rng(seed)
+    grid = np.array([4.0, 4.0, 120.0] * 2)
+
+    def snapped(m: int) -> np.ndarray:
+        b = np.round(_rand_boxes(m, seed=int(g.integers(1 << 30))) / grid) * grid
+        flat = g.random(m) < 0.3
+        b[flat, 3:] = b[flat, :3]
+        return b
+
+    boxes, queries = snapped(n), snapped(q)
+    if bulk:
+        t = Rtree3D.bulk_load(boxes, max_entries=fanout)
+    else:
+        t = Rtree3D(max_entries=fanout)
+        for i in range(n):
+            t.insert(boxes[i], i)
+    qi, ids = t.query_boxes(queries)
+    assert qi.dtype == ids.dtype == np.int64
+    got = sorted(zip(qi.tolist(), ids.tolist()))
+    brute = sorted((j, int(i)) for j in range(q) for i in _brute(boxes, queries[j]))
+    per_query = sorted((j, int(i)) for j in range(q) for i in t.query_box(queries[j]))
+    assert got == brute == per_query
+
+
+def test_query_boxes_empty_tree_and_no_queries():
+    for t, queries in [(Rtree3D.bulk_load(np.empty((0, 6))), _rand_boxes(4, seed=1)),
+                       (Rtree3D.bulk_load(_rand_boxes(40, seed=2)), np.empty((0, 6)))]:
+        qi, ids = t.query_boxes(queries)
+        assert qi.dtype == ids.dtype == np.int64
+        assert len(qi) == len(ids) == 0

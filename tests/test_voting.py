@@ -8,7 +8,10 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.voting import vote_segments, vote_segments_naive
+from repro.core.voting import (
+    CUTOFF_SIGMAS, _bucket_votes, _pairs_to_votes, _seg_matrix,
+    vote_segments, vote_segments_naive,
+)
 from repro.mod.model import make_points_df, points_to_segments
 from repro.oracle import assert_equivalent
 
@@ -34,6 +37,24 @@ def test_indexed_equals_naive_sigma(segments, sigma):
     vi = _sorted_votes(vote_segments(segments, sigma=sigma))
     vn = _sorted_votes(vote_segments_naive(segments, sigma=sigma))
     np.testing.assert_allclose(vi, vn, atol=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_bucket_votes_equal_all_pairs_reference(mod_pdf, sigma):
+    """The batched self join on the pg3D-Rtree scores exactly the pairs a
+    scan of every cross-trajectory pair keeps: the pair frames are equal,
+    value for value, so the index changes cost only."""
+    seg = points_to_segments(mod_pdf[["traj_id", "t", "x", "y"]])
+    m = _seg_matrix(seg)
+    traj = seg["traj_id"].to_numpy(dtype=np.int64)
+    ei, fj = np.divmod(np.arange(len(m) ** 2, dtype=np.int64), len(m))
+    cross = traj[ei] != traj[fj]
+    cutoff = CUTOFF_SIGMAS * sigma
+    ref = _pairs_to_votes(m, traj, seg["seg_id"].to_numpy(dtype=np.int64),
+                          ei[cross], fj[cross], sigma, cutoff)
+    got = _bucket_votes(seg, sigma, cutoff)
+    assert len(ref) > 0
+    assert got.equals(ref)
 
 
 def test_votes_bounded_by_cardinality(segments, voted):
