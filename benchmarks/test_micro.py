@@ -1,12 +1,17 @@
 """Micro-benchmarks of the substrate hot paths: pg3D-Rtree bulk load,
-single and batched query, the closed-form voting kernel, and the
+single and batched query, the closed-form voting kernel, the
 time-synchronized distance — the per-task inner loops whose cost
-Table A/B aggregate."""
+Table A/B aggregate — and in-process NaTS segmentation of a whole MOD."""
 import numpy as np
 import pytest
 
+from repro import synth_data
 from repro.core.distance import min_moving_distance, sync_distance, vote_kernel
+from repro.core.s2t import S2TParams
+from repro.core.segmentation import segment_trajectories
+from repro.core.voting import vote_segments
 from repro.index.rtree3d import Rtree3D
+from repro.mod.model import points_to_segments
 
 
 def _boxes(n, seed=0):
@@ -80,3 +85,17 @@ def test_bench_sync_distance_1k_pairs(benchmark):
         return s
 
     benchmark(run)
+
+
+@pytest.mark.benchmark(group="micro-segmentation")
+def test_bench_segmentation_inproc(benchmark):
+    """The voted segments of the ``s2t_batch`` MOD (sf 0.1, seed 0), cut
+    into sub-trajectories in the driver process."""
+    p = S2TParams(sigma=1.0)
+    pdf = synth_data.trajectories_pdf(sf=0.1, seed=0)
+    voted = vote_segments(points_to_segments(pdf), sigma=p.sigma, bucket_width=p.bucket_width)
+    assert (len(voted), voted["traj_id"].nunique()) == (8222, 124)
+
+    subtrajs = benchmark(lambda: segment_trajectories(
+        voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap))
+    assert len(subtrajs) == 302

@@ -2,7 +2,8 @@
 
 Phase 1, NaTS: voting (``core.voting``) then segmentation
 (``core.segmentation``), which cuts each trajectory and assembles its
-sub-trajectory rows (``core.subtraj``) in one per-trajectory pass.
+sub-trajectory rows (``core.subtraj``) in one pass: per trajectory
+group in a Spark job, over the whole frame in the driver process.
 Phase 2, SaCO: sampling (``core.sampling``), greedy clustering with
 outlier isolation (``core.clustering``); it runs on the driver over the
 sub-trajectory table, with one distance matrix, for either engine.

@@ -8,12 +8,15 @@ trajectory voting signal, so that a trajectory which e.g. co-moves with
 group A, then drifts alone, then joins group B is cut into three
 sub-trajectories.
 
-Method: per trajectory (one `applyInPandas` group — embarrassingly
-parallel, as the calibration hint prescribes; one pandas group when the
-voted segments already live on the driver):
+Method: one pass over the voted segments of any number of trajectories,
+sorted by ``(traj_id, seg_id)`` — one ``applyInPandas`` group per
+trajectory over a Spark DataFrame (embarrassingly parallel, as the
+calibration hint prescribes), the whole frame at once when the voted
+segments already live on the driver:
 
-1. *Forced* boundaries at sampling gaps longer than ``max_gap`` — a
-   trajectory with a data hole cannot be one homogeneous sub-trajectory.
+1. *Forced* boundaries at each trajectory's start and at sampling gaps
+   longer than ``max_gap`` — a trajectory with a data hole cannot be one
+   homogeneous sub-trajectory.
    Segments of consecutive points bridge a hole with one long segment,
    which is cut off on both sides and left a sub-trajectory of its own.
 2. Within each gap-free run, top-down binary segmentation of the voting
@@ -23,7 +26,7 @@ voted segments already live on the driver):
    ``lam * sigma2 * log(n)`` (``sigma2`` robustly estimated from first
    differences of the signal).  ``min_len`` forbids slivers.
 
-The same per-trajectory pass then assembles the cut trajectory
+The same pass then assembles the cut trajectories
 (``core.subtraj._assemble_one``), so the output is the sub-trajectory
 rows themselves (``SUBTRAJ_SCHEMA``), with sub-trajectory ids 0-based
 and temporally ordered per trajectory.
@@ -50,36 +53,27 @@ def _noise_var(v: np.ndarray) -> float:
     return float(sigma * sigma)
 
 
-def _sse_prefix(v: np.ndarray):
-    s1 = np.concatenate([[0.0], np.cumsum(v)])
-    s2 = np.concatenate([[0.0], np.cumsum(v * v)])
-
-    def sse(lo: int, hi: int) -> float:  # [lo, hi)
-        n = hi - lo
-        if n <= 0:
-            return 0.0
-        tot = s1[hi] - s1[lo]
-        return float((s2[hi] - s2[lo]) - tot * tot / n)
-
-    return sse
-
-
-def _best_split(v: np.ndarray, lo: int, hi: int, min_len: int, sse) -> tuple[int, float]:
-    """Best single split of [lo, hi); returns (k, sse_gain) with k = -1
-    when no admissible split exists."""
-    n = hi - lo
-    if n < 2 * min_len:
+def _best_split(s1: np.ndarray, s2: np.ndarray, lo: int, hi: int,
+                min_len: int) -> tuple[int, float]:
+    """Best single split of [lo, hi) from the prefix sums ``s1`` of the
+    signal and ``s2`` of its squares; returns (k, sse_gain), the first
+    maximum over every admissible ``k``, with k = -1 when no split
+    reduces the SSE."""
+    m = max(min_len, 1)
+    k = np.arange(lo + m, hi - m + 1)
+    if not len(k):
         return -1, 0.0
-    parent = sse(lo, hi)
-    best_k, best_gain = -1, 0.0
-    for k in range(lo + min_len, hi - min_len + 1):
-        gain = parent - sse(lo, k) - sse(k, hi)
-        if gain > best_gain:
-            best_k, best_gain = k, gain
-    return best_k, best_gain
+
+    def sse(a, b):  # [a, b)
+        tot = s1[b] - s1[a]
+        return (s2[b] - s2[a]) - tot * tot / (b - a)
+
+    gain = sse(lo, hi) - sse(lo, k) - sse(k, hi)
+    i = int(np.argmax(gain))
+    return (int(k[i]), float(gain[i])) if gain[i] > 0 else (-1, 0.0)
 
 
-def segment_signal(v: np.ndarray, *, min_len: int = 4, lam: float = 3.0) -> np.ndarray:
+def segment_signal(v: np.ndarray, *, min_len: int, lam: float) -> np.ndarray:
     """Change-point boundaries of a 1D signal: sorted interior split
     indices (split at k means pieces ``[..k)`` and ``[k..)``)."""
     v = np.asarray(v, dtype=np.float64)
@@ -87,12 +81,13 @@ def segment_signal(v: np.ndarray, *, min_len: int = 4, lam: float = 3.0) -> np.n
     if n < 2 * min_len:
         return np.empty(0, dtype=np.int64)
     penalty = lam * max(_noise_var(v), 1e-12) * np.log(max(n, 2))
-    sse = _sse_prefix(v)
+    s1 = np.concatenate([[0.0], np.cumsum(v)])
+    s2 = np.concatenate([[0.0], np.cumsum(v * v)])
     splits: list[int] = []
     stack = [(0, n)]
     while stack:
         lo, hi = stack.pop()
-        k, gain = _best_split(v, lo, hi, min_len, sse)
+        k, gain = _best_split(s1, s2, lo, hi, min_len)
         if k >= 0 and gain > penalty:
             splits.append(k)
             stack.append((lo, k))
@@ -101,48 +96,48 @@ def segment_signal(v: np.ndarray, *, min_len: int = 4, lam: float = 3.0) -> np.n
 
 
 def _segment_one(pdf: pd.DataFrame, min_len: int, lam: float, max_gap: float) -> pd.DataFrame:
-    """One trajectory's voted segments, sorted by ``seg_id``, plus the
-    ``subtraj_id`` of each."""
-    pdf = pdf.sort_values("seg_id").reset_index(drop=True)
+    """Voted segments of any number of trajectories, sorted by
+    ``(traj_id, seg_id)``, plus the ``subtraj_id`` of each."""
+    pdf = pdf.sort_values(["traj_id", "seg_id"], ignore_index=True)
+    tid = pdf["traj_id"].to_numpy()
     v = pdf["vote"].to_numpy(dtype=np.float64)
     t1 = pdf["t1"].to_numpy(dtype=np.float64)
     t2 = pdf["t2"].to_numpy(dtype=np.float64)
     n = len(pdf)
-    # forced boundaries at sampling gaps: between segments, and on both
-    # sides of a segment that spans one (segments of points always chain)
+    # forced boundaries: trajectory starts, sampling gaps between
+    # segments, and both sides of a segment that spans one (segments of
+    # points always chain); cut[n] closes the last run
+    start = np.diff(tid, prepend=tid[:1] - 1) != 0
+    cut = np.append(start, True)
+    cut[1:n] |= t1[1:] - t2[:-1] > max_gap
     long = np.flatnonzero(t2 - t1 > max_gap)
-    forced = np.union1d(np.flatnonzero(t1[1:] - t2[:-1] > max_gap) + 1,
-                        np.concatenate([long, long + 1]))
-    forced = forced[(forced > 0) & (forced < n)]
-    bounds = [0, *forced.tolist(), n]
-    all_splits: list[int] = forced.tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rel = segment_signal(v[lo:hi], min_len=min_len, lam=lam)
-        all_splits.extend((rel + lo).tolist())
-    cuts = np.zeros(n, dtype=np.int64)
-    if all_splits:
-        cuts[np.asarray(sorted(set(all_splits)), dtype=np.int64)] = 1
-    return pdf.assign(subtraj_id=np.cumsum(cuts))
+    cut[long] = cut[long + 1] = True
+    bounds = np.flatnonzero(cut)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        cut[segment_signal(v[lo:hi], min_len=min_len, lam=lam) + lo] = True
+    # running count of cuts, from 0 at each trajectory's first segment
+    ids = np.cumsum(cut[:n])
+    return pdf.assign(subtraj_id=ids - np.maximum.accumulate(np.where(start, ids, 0)))
 
 
 def segment_trajectories(
     voted_segments: DataFrame | pd.DataFrame, *, min_len: int, lam: float, max_gap: float
 ) -> DataFrame | pd.DataFrame:
     """NaTS segmentation: voted segments -> sub-trajectory rows
-    (``SUBTRAJ_SCHEMA``), one pass per trajectory: a grouped
-    ``applyInPandas`` over a Spark DataFrame, a pandas ``groupby`` over a
-    pandas frame.
+    (``SUBTRAJ_SCHEMA``), by one kernel: once per trajectory in a grouped
+    ``applyInPandas`` over a Spark DataFrame, once over a whole pandas
+    frame.
 
     ``min_len`` — minimum sub-trajectory length in segments;
     ``lam`` — BIC penalty multiplier (higher = fewer cuts);
     ``max_gap`` — sampling gap (s) that forces a boundary: a longer
     pause between segments, or a segment lasting longer.
     """
-    if isinstance(voted_segments, pd.DataFrame):
-        parts = [_assemble_one(_segment_one(g, min_len, lam, max_gap))
-                 for _, g in voted_segments.groupby("traj_id")]
-        return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(columns=SUBTRAJ_COLS)
-    return voted_segments.groupBy("traj_id").applyInPandas(
-        lambda pdf: _assemble_one(_segment_one(pdf, min_len, lam, max_gap)),
-        schema=SUBTRAJ_SCHEMA,
-    )
+    def segment(pdf: pd.DataFrame) -> pd.DataFrame:
+        return _assemble_one(_segment_one(pdf, min_len, lam, max_gap))
+
+    if isinstance(voted_segments, DataFrame):
+        return voted_segments.groupBy("traj_id").applyInPandas(segment, schema=SUBTRAJ_SCHEMA)
+    if voted_segments.empty:
+        return pd.DataFrame(columns=SUBTRAJ_COLS)
+    return segment(voted_segments)

@@ -1,11 +1,11 @@
-"""Sub-trajectory assembly: a segmented trajectory -> summary + polyline rows.
+"""Sub-trajectory assembly: segmented trajectories -> summary + polyline rows.
 
 The SaCO phase (sampling, clustering, outliers) and ReTraTree operate on
 *sub-trajectories*, not raw segments.  This module materialises them:
 one row per (traj_id, subtraj_id) carrying the voting summary and the
 polyline as array columns; SaCO reads them on the driver
 (:func:`subtrajs_to_pandas`).
-:func:`_assemble_one` runs inside segmentation's per-trajectory pass
+:func:`_assemble_one` is the second half of segmentation's one pass
 (``core.segmentation.segment_trajectories``), which emits these rows.
 """
 from __future__ import annotations
@@ -22,14 +22,17 @@ SUBTRAJ_SCHEMA = (
 SUBTRAJ_COLS = [f.split()[0] for f in SUBTRAJ_SCHEMA.split(", ")]
 
 def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
-    """One trajectory's segments, sorted by ``seg_id`` and carrying their
-    ``subtraj_id`` -> one summary row with its polyline per sub-trajectory.
+    """Segments of any number of trajectories, sorted by
+    ``(traj_id, seg_id)`` and carrying their ``subtraj_id`` -> one summary
+    row with its polyline per sub-trajectory.
 
-    A sub-trajectory's polyline is the start point of its first segment
+    A row starts wherever ``traj_id`` or ``subtraj_id`` changes.  A
+    sub-trajectory's polyline is the start point of its first segment
     followed by the end point of each of its segments.
     """
+    tid = pdf["traj_id"].to_numpy(dtype=np.int64)
     sub = pdf["subtraj_id"].to_numpy(dtype=np.int64)
-    starts = np.flatnonzero(np.diff(sub, prepend=sub[0] - 1))
+    starts = np.flatnonzero((np.diff(tid, prepend=-1) != 0) | (np.diff(sub, prepend=-1) != 0))
     ends = np.append(starts[1:], len(sub))
     v = pdf["vote"].to_numpy(dtype=np.float64)
     # polyline i begins at starts[i] + i once the i head points are inserted
@@ -43,7 +46,7 @@ def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
     ts = polylines("t1", "t2")
     return pd.DataFrame(
         {
-            "traj_id": pdf["traj_id"].to_numpy(dtype=np.int64)[starts],
+            "traj_id": tid[starts],
             "subtraj_id": sub[starts],
             "t_start": [p[0] for p in ts],
             "t_end": [p[-1] for p in ts],

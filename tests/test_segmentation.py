@@ -6,8 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.segmentation import segment_signal, segment_trajectories
+from repro.core.segmentation import _best_split, segment_signal, segment_trajectories
 from repro.core.voting import vote_segments
 from repro.mod.model import make_points_df, points_to_segments
 
@@ -61,11 +63,95 @@ def test_min_len_respected(min_len):
 
 
 def test_short_signal_never_split():
-    assert len(segment_signal(np.array([1.0, 5.0, 1.0]), min_len=4)) == 0
+    assert len(segment_signal(np.array([1.0, 5.0, 1.0]), min_len=4, lam=3.0)) == 0
 
 
 def test_empty_signal():
-    assert len(segment_signal(np.empty(0))) == 0
+    assert len(segment_signal(np.empty(0), min_len=4, lam=3.0)) == 0
+
+
+def _sse_prefix(v: np.ndarray):
+    s1 = np.concatenate([[0.0], np.cumsum(v)])
+    s2 = np.concatenate([[0.0], np.cumsum(v * v)])
+
+    def sse(lo: int, hi: int) -> float:  # [lo, hi)
+        n = hi - lo
+        if n <= 0:
+            return 0.0
+        tot = s1[hi] - s1[lo]
+        return float((s2[hi] - s2[lo]) - tot * tot / n)
+
+    return sse
+
+
+def _best_split_scan(v: np.ndarray, lo: int, hi: int, min_len: int) -> tuple[int, float]:
+    """Reference: the best split of [lo, hi) by a Python scan over every
+    admissible ``k``, keeping the first strictly larger SSE gain."""
+    sse = _sse_prefix(v)
+    if hi - lo < 2 * min_len:
+        return -1, 0.0
+    parent = sse(lo, hi)
+    best_k, best_gain = -1, 0.0
+    for k in range(lo + min_len, hi - min_len + 1):
+        gain = parent - sse(lo, k) - sse(k, hi)
+        if gain > best_gain:
+            best_k, best_gain = k, gain
+    return best_k, best_gain
+
+
+_signals = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0, 3.0]), max_size=40),  # constant runs, tied gains
+    st.lists(st.floats(-100.0, 100.0), max_size=40),
+)
+
+
+@example(v=[0.0, 0.0, 5.0, 5.0, 5.0, 5.0, 0.0, 0.0], min_len=1, span=(0, 8))  # tie at k=2, 6
+@example(v=[2.0] * 12, min_len=3, span=(0, 12))  # constant: no gain
+@settings(max_examples=300, deadline=None)
+@given(v=_signals, min_len=st.integers(1, 8),
+       span=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+def test_property_best_split_matches_python_scan(v, min_len, span):
+    v = np.asarray(v, dtype=np.float64)
+    lo, hi = sorted(min(i, len(v)) for i in span)
+    s1 = np.concatenate([[0.0], np.cumsum(v)])
+    s2 = np.concatenate([[0.0], np.cumsum(v * v)])
+    assert _best_split(s1, s2, lo, hi, min_len) == _best_split_scan(v, lo, hi, min_len)
+
+
+@st.composite
+def _voted_trajectories(draw) -> pd.DataFrame:
+    """Several trajectories' voted segments, rows shuffled.  Segment
+    durations and the pauses between segments are drawn from below and
+    above ``max_gap``, and votes from a few levels or at random."""
+    ids = draw(st.sets(st.integers(0, 10**6), min_size=2, max_size=5))
+    durations = st.sampled_from([10.0, 30.0, 60.0, 200.0])
+    pauses = st.sampled_from([0.0, 0.0, 0.0, 5.0, 500.0])
+    votes = st.one_of(st.sampled_from([0.0, 2.0, 8.0]), st.floats(0.0, 20.0))
+    frames = []
+    for tid in ids:
+        n = draw(st.integers(1, 30))
+        dur = np.asarray(draw(st.lists(durations, min_size=n, max_size=n)))
+        pause = np.asarray(draw(st.lists(pauses, min_size=n, max_size=n)))
+        t1 = np.cumsum(pause + np.concatenate([[0.0], dur[:-1]]))
+        x = np.arange(n, dtype=float) + tid
+        frames.append(pd.DataFrame({
+            "traj_id": np.int64(tid), "seg_id": np.arange(n, dtype=np.int64),
+            "t1": t1, "x1": x, "y1": 0.0, "t2": t1 + dur, "x2": x + 1.0, "y2": 0.0,
+            "vote": draw(st.lists(votes, min_size=n, max_size=n)),
+        }))
+    return pd.concat(frames).sample(frac=1.0, random_state=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_voted_trajectories(), st.integers(1, 5), st.sampled_from([0.5, 3.0, 12.0]))
+def test_property_whole_frame_equals_per_trajectory_calls(voted, min_len, lam):
+    nats = dict(min_len=min_len, lam=lam, max_gap=NATS["max_gap"])
+    one_by_one = pd.concat(
+        [segment_trajectories(voted[voted["traj_id"] == tid], **nats)
+         for tid in sorted(voted["traj_id"].unique())],
+        ignore_index=True,
+    )
+    assert segment_trajectories(voted, **nats).equals(one_by_one)
 
 
 # ------------------------------------------------------------ spark level

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sampling import Representative, sample_representatives
@@ -53,36 +53,55 @@ def test_segments_partition_into_subtrajs(sub_pdf, segments):
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def _segmented_trajectory(draw):
-    """A chain of consecutive segments with votes, sorted by ``seg_id``,
-    cut into sub-trajectories by random non-decreasing ``subtraj_id``s."""
-    n = draw(st.integers(1, 40))
-    dt = np.asarray(draw(st.lists(st.floats(0.1, 500.0), min_size=n, max_size=n)))
-    t = np.concatenate([[draw(_finite)], dt]).cumsum()
-    x, y = (np.asarray(draw(st.lists(_finite, min_size=n + 1, max_size=n + 1)))
-            for _ in range(2))
-    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+def _chain(traj_id: int, t, x, y, vote, cuts) -> pd.DataFrame:
+    """One trajectory's chain of consecutive segments through the points
+    ``(t, x, y)``, sorted by ``seg_id``, with ``subtraj_id`` rising after
+    each segment whose ``cuts`` flag is set."""
     return pd.DataFrame({
-        "traj_id": np.int64(draw(st.integers(0, 10**6))),
-        "seg_id": np.arange(n, dtype=np.int64),
+        "traj_id": np.int64(traj_id),
+        "seg_id": np.arange(len(vote), dtype=np.int64),
         "t1": t[:-1], "x1": x[:-1], "y1": y[:-1],
         "t2": t[1:], "x2": x[1:], "y2": y[1:],
-        "vote": draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)),
+        "vote": vote,
         "subtraj_id": np.cumsum([0, *cuts]).astype(np.int64),
     })
 
 
+@st.composite
+def _segmented_trajectories(draw):
+    """One to three chains of consecutive segments with votes, in
+    ``traj_id`` order, each cut into sub-trajectories by random
+    non-decreasing ``subtraj_id``s."""
+    chains = []
+    for tid in sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=3))):
+        n = draw(st.integers(1, 40))
+        dt = np.asarray(draw(st.lists(st.floats(0.1, 500.0), min_size=n, max_size=n)))
+        t = np.concatenate([[draw(_finite)], dt]).cumsum()
+        x, y = (np.asarray(draw(st.lists(_finite, min_size=n + 1, max_size=n + 1)))
+                for _ in range(2))
+        vote = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+        chains.append(_chain(tid, t, x, y, vote, draw(
+            st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))))
+    return pd.concat(chains, ignore_index=True)
+
+
+_line = np.arange(4.0)
+#: Two adjacent trajectories, uncut: both rows have ``subtraj_id`` 0.
+_TWO_UNCUT = pd.concat([_chain(tid, 10.0 * _line, _line, _line, [1.0, 2.0, 3.0], [False] * 2)
+                        for tid in (7, 8)], ignore_index=True)
+
+
+@example(_TWO_UNCUT)
 @settings(max_examples=100, deadline=None)
-@given(_segmented_trajectory())
+@given(_segmented_trajectories())
 def test_property_assemble_one_partitions_the_chain(seg):
     out = _assemble_one(seg)
-    ids = seg["subtraj_id"].to_numpy()
-    assert out["subtraj_id"].tolist() == sorted(set(ids))
+    tid, ids = seg["traj_id"].to_numpy(), seg["subtraj_id"].to_numpy()
+    assert list(zip(out["traj_id"], out["subtraj_id"])) == sorted(set(zip(tid, ids)))
     assert int(out["n_segs"].sum()) == len(seg)
     v = seg["vote"].to_numpy()
     for k, r in out.iterrows():
-        rows = np.flatnonzero(ids == r["subtraj_id"])
+        rows = np.flatnonzero((tid == r["traj_id"]) & (ids == r["subtraj_id"]))
         a, b = rows[0], rows[-1] + 1
         assert r["n_segs"] == b - a
         assert len(r["ts"]) == len(r["xs"]) == len(r["ys"]) == r["n_segs"] + 1
@@ -92,7 +111,7 @@ def test_property_assemble_one_partitions_the_chain(seg):
         assert (r["t_start"], r["t_end"]) == (r["ts"][0], r["ts"][-1])
         assert r["sum_vote"] == v[a:b].sum()
         assert r["mean_vote"] == v[a:b].mean()
-        if k + 1 < len(out):
+        if k + 1 < len(out) and out["traj_id"].iloc[k + 1] == r["traj_id"]:
             assert r["ts"][-1] == out["ts"].iloc[k + 1][0]
 
 
