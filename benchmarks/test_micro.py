@@ -1,7 +1,8 @@
 """Micro-benchmarks of the substrate hot paths: pg3D-Rtree bulk load,
 single and batched query, the closed-form voting kernel, the
 time-synchronized distance — the per-task inner loops whose cost
-Table A/B aggregate — and in-process NaTS segmentation of a whole MOD."""
+Table A/B aggregate — in-process NaTS segmentation of a whole MOD, and
+an in-process QuT that re-clusters two boundary slices."""
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core.segmentation import segment_trajectories
 from repro.core.voting import vote_segments
 from repro.index.rtree3d import Rtree3D
 from repro.mod.model import points_to_segments
+from repro.retratree.tree import ReTraTree
 
 
 def _boxes(n, seed=0):
@@ -99,3 +101,17 @@ def test_bench_segmentation_inproc(benchmark):
     subtrajs = benchmark(lambda: segment_trajectories(
         voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap))
     assert len(subtrajs) == 302
+
+
+@pytest.mark.benchmark(group="micro-qut")
+def test_bench_qut_boundary_inproc(benchmark, tmp_path):
+    """QuT over a 2-chunk tree of the ``s2t_batch`` MOD (sf 0.1, seed 0),
+    built in the driver process, for the window half a chunk off: both
+    chunks are boundary slices, re-clustered by one S2T run."""
+    pdf = synth_data.trajectories_pdf(sf=0.1, seed=0)
+    width = float(np.ceil(pdf["t"].max() / 2 / 100.0) * 100.0)
+    tree = ReTraTree.build(None, pdf, tmp_path, S2TParams(sigma=1.0), chunk_width=width)
+    assert sorted(tree.chunks) == [0, 1]
+
+    q = benchmark(lambda: tree.qut(0.5 * width, 1.5 * width))
+    assert (q.n_full, q.n_partial, len(q.rows)) == (0, 2, 188)

@@ -33,9 +33,7 @@ _FAR = 1e9  # finite stand-in for "no temporal overlap"
 def trajectory_distance_matrix(polys: pd.DataFrame, *, n_samples: int = 32) -> np.ndarray:
     """Symmetric time-synchronized distance matrix over trajectories."""
     n = len(polys)
-    ts = [np.asarray(a, dtype=np.float64) for a in polys["ts"]]
-    xs = [np.asarray(a, dtype=np.float64) for a in polys["xs"]]
-    ys = [np.asarray(a, dtype=np.float64) for a in polys["ys"]]
+    ts, xs, ys = (polys[c].to_numpy() for c in ("ts", "xs", "ys"))
     m = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):

@@ -90,8 +90,9 @@ class S2TResult:
 
     ``segments`` and ``voted`` — the segments, without and with ``vote``;
     ``subtrajs`` — the sub-trajectory rows (``core.subtraj.SUBTRAJ_SCHEMA``);
-    ``sub_pdf`` — the same rows on the driver, polylines as numpy arrays,
-    sorted by (traj_id, subtraj_id) (``subtrajs_to_pandas``); ``reps`` —
+    ``sub_pdf`` — the same rows on the driver, sorted by (traj_id,
+    subtraj_id), polylines as float64 numpy arrays (``subtrajs_to_pandas``;
+    on the in-process engine it is the ``subtrajs`` frame); ``reps`` —
     the sampled representatives; ``clusters`` — pandas (traj_id,
     subtraj_id, cluster_id, dist) in ``sub_pdf``'s row order;
     ``timings`` — seconds per phase (``prepare``, ``voting``,

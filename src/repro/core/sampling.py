@@ -69,10 +69,7 @@ def sample_representatives(
     if not eps > 0.0:  # the similarity kernel divides by eps
         raise ValueError(f"eps must be positive, got {eps}")
     # polylines once (bracket access: "xs" shadows Series.xs)
-    arrs = [
-        tuple(np.asarray(a, dtype=np.float64) for a in row)
-        for row in zip(subtrajs_pdf["ts"], subtrajs_pdf["xs"], subtrajs_pdf["ys"])
-    ]
+    arrs = list(zip(subtrajs_pdf["ts"], subtrajs_pdf["xs"], subtrajs_pdf["ys"]))
     dists: list[np.ndarray] = []
     picked: list[Representative] = []
     duration = (subtrajs_pdf["t_end"] - subtrajs_pdf["t_start"]).to_numpy()

@@ -3,7 +3,8 @@
 The SaCO phase (sampling, clustering, outliers) and ReTraTree operate on
 *sub-trajectories*, not raw segments.  This module materialises them:
 one row per (traj_id, subtraj_id) carrying the voting summary and the
-polyline as array columns; SaCO reads them on the driver
+polyline as array columns, each row's polyline a float64 numpy array
+from its creation on; SaCO reads them on the driver
 (:func:`subtrajs_to_pandas`).
 :func:`_assemble_one` is the second half of segmentation's one pass
 (``core.segmentation.segment_trajectories``), which emits these rows.
@@ -28,7 +29,8 @@ def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
 
     A row starts wherever ``traj_id`` or ``subtraj_id`` changes.  A
     sub-trajectory's polyline is the start point of its first segment
-    followed by the end point of each of its segments.
+    followed by the end point of each of its segments: one float64 view
+    per row into one array per coordinate.
     """
     tid = pdf["traj_id"].to_numpy(dtype=np.int64)
     sub = pdf["subtraj_id"].to_numpy(dtype=np.int64)
@@ -38,22 +40,22 @@ def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
     # polyline i begins at starts[i] + i once the i head points are inserted
     heads = starts + np.arange(len(starts))
 
-    def polylines(first: str, rest: str) -> list[list[float]]:
+    def polylines(first: str, rest: str) -> list[np.ndarray]:
         head = pdf[first].to_numpy(dtype=np.float64)[starts]
         col = np.insert(pdf[rest].to_numpy(dtype=np.float64), starts, head)
-        return [p.tolist() for p in np.split(col, heads[1:])]
+        return np.split(col, heads[1:])
 
-    ts = polylines("t1", "t2")
     return pd.DataFrame(
         {
             "traj_id": tid[starts],
             "subtraj_id": sub[starts],
-            "t_start": [p[0] for p in ts],
-            "t_end": [p[-1] for p in ts],
+            "t_start": pdf["t1"].to_numpy(dtype=np.float64)[starts],
+            "t_end": pdf["t2"].to_numpy(dtype=np.float64)[ends - 1],
             "n_segs": ends - starts,
+            # one sum per slice: np.add.reduceat would change the low bits
             "sum_vote": [v[a:b].sum() for a, b in zip(starts, ends)],
             "mean_vote": [v[a:b].mean() for a, b in zip(starts, ends)],
-            "ts": ts,
+            "ts": polylines("t1", "t2"),
             "xs": polylines("x1", "x2"),
             "ys": polylines("y1", "y2"),
         }
@@ -61,15 +63,17 @@ def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
 
 
 def subtrajs_to_pandas(subtrajs: DataFrame | pd.DataFrame) -> pd.DataFrame:
-    """Collect subtraj rows with polylines as numpy arrays (driver side);
-    a pandas frame is converted in place of the collect.
+    """Subtraj rows on the driver, sorted by ``(traj_id, subtraj_id)``,
+    polylines as float64 numpy arrays.  A Spark frame is collected (Arrow
+    ``toPandas`` yields the arrays) and sorted; a pandas frame, the
+    in-process engine's :func:`_assemble_one` output, already is this
+    and is returned as is.
 
     Used by the sampling greedy loop: the subtraj summary table is
     orders of magnitude smaller than the point data (paper's reason for
     running SaCO after segmentation), so collecting it is the intended
     cost model.
     """
-    pdf = subtrajs.toPandas() if isinstance(subtrajs, DataFrame) else subtrajs.copy()
-    for c in ("ts", "xs", "ys"):
-        pdf[c] = pdf[c].apply(lambda a: np.asarray(a, dtype=np.float64))
-    return pdf.sort_values(["traj_id", "subtraj_id"]).reset_index(drop=True)
+    if not isinstance(subtrajs, DataFrame):
+        return subtrajs
+    return subtrajs.toPandas().sort_values(["traj_id", "subtraj_id"], ignore_index=True)

@@ -92,29 +92,21 @@ def temporal_range(points: DataFrame, t_start: float, t_end: float) -> DataFrame
 def collect_polylines(points: DataFrame) -> pd.DataFrame:
     """Collect per-trajectory polylines to the driver.
 
-    Returns a pandas frame with columns ``traj_id, ts, xs, ys`` where
-    ``ts/xs/ys`` are numpy float arrays sorted by time.  Used by the
-    driver-side greedy sampling loop and the T-OPTICS baseline — both
-    operate on the (small) per-trajectory summary level, mirroring the
-    paper where sampling runs on segmentation output, not raw points.
+    Returns a pandas frame with columns ``traj_id, ts, xs, ys``, one row
+    per trajectory in ``traj_id`` order, where ``ts/xs/ys`` are float64
+    numpy arrays sorted by ``(t, x, y)``: the points are collected once
+    and split per trajectory.  Used by the T-OPTICS baseline, which
+    clusters whole trajectories.
     """
-    agg = (
-        points.select("traj_id", "t", "x", "y")
-        .groupBy("traj_id")
-        .agg(
-            F.sort_array(
-                F.collect_list(F.struct(F.col("t"), F.col("x"), F.col("y")))
-            ).alias("pts")
-        )
-        .collect()
-    )
-    rows = []
-    for r in agg:
-        arr = np.asarray([[p["t"], p["x"], p["y"]] for p in r["pts"]], dtype=np.float64)
-        rows.append(
-            {"traj_id": r["traj_id"], "ts": arr[:, 0], "xs": arr[:, 1], "ys": arr[:, 2]}
-        )
-    return pd.DataFrame(rows, columns=["traj_id", "ts", "xs", "ys"])
+    pts = points.select("traj_id", "t", "x", "y").toPandas()
+    pts = pts.sort_values(["traj_id", "t", "x", "y"], ignore_index=True)
+    tid = pts["traj_id"].to_numpy(dtype=np.int64)
+    starts = np.flatnonzero(np.diff(tid, prepend=tid[:1] - 1))
+    # split at every start, the first too, and drop the empty head piece:
+    # no points then give no rows
+    polys = {c: np.split(pts[c[0]].to_numpy(dtype=np.float64), starts)[1:]
+             for c in ("ts", "xs", "ys")}
+    return pd.DataFrame({"traj_id": tid[starts], **polys}, columns=["traj_id", "ts", "xs", "ys"])
 
 
 def make_points_df(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:

@@ -81,10 +81,9 @@ class PartitionStore:
         return (self._dir(chunk_id, name) / "data.parquet").exists()
 
     def read(self, chunk_id: int, name: str) -> pd.DataFrame:
-        pdf = pd.read_parquet(self._dir(chunk_id, name) / "data.parquet", engine="pyarrow")
-        for c in ("ts", "xs", "ys"):
-            pdf[c] = pdf[c].apply(lambda a: np.asarray(a, dtype=np.float64))
-        return pdf
+        """The partition's rows; pyarrow returns each polyline as a
+        float64 numpy array."""
+        return pd.read_parquet(self._dir(chunk_id, name) / "data.parquet", engine="pyarrow")
 
     def read_rtree(self, chunk_id: int, name: str) -> Rtree3D:
         """The partition's pg3D-Rtree, bulk-loaded from its rows; entry ids

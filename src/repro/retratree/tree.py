@@ -9,9 +9,12 @@ Mapping here:
 
 - **Level 1** — disjoint temporal *chunks* of width ``chunk_width``
   (aligned to multiples of the width).
-- **Level 2** — the row-level time predicate of the boundary-slice read:
-  a boundary chunk's member rows are clipped to the window and only rows
-  keeping at least two points there are re-clustered.
+- **Level 2** — the row-level time predicate of the boundary re-cluster:
+  the member rows of the chunks the window W cuts are flattened to points
+  once, clipped to W, and only rows keeping at least two points there
+  are re-clustered (:func:`_members_to_points`).  Clipping to W alone is
+  exact: build and insert both put a point in chunk ``floor(t /
+  chunk_width)``, so every row of a chunk lies inside it.
 - **Level 3** — per chunk, the list of *representative sub-trajectories*
   (the in-memory part of the structure in Fig. 2) produced by running
   S2T-Clustering on the chunk.
@@ -36,8 +39,9 @@ representatives are spatio-temporally continuous (QUT's ``d``).
 Which S2T engine runs where: every S2T run of the tree is in the driver
 process, on a pandas frame.  The bulk load collects the MOD's points once
 and clusters each chunk's rows; the outlier re-cluster and the QuT
-boundary slabs start from partition rows already read into the driver
-(:func:`_members_to_points`).  The tree holds no Spark session.
+boundary slabs start from partition rows read into the driver, whose
+float64 polylines :func:`_members_to_points` flattens once into S2T's
+points frame.  The tree holds no Spark session.
 """
 from __future__ import annotations
 
@@ -341,15 +345,12 @@ class ReTraTree:
         # combined run is semantically equivalent while paying the
         # fixed per-job cost once.
         t0 = time.perf_counter()
-        slabs, bounds = [], []
-        for c in sorted(partial, key=lambda c: c.t_lo):
-            lo, hi = max(c.t_lo, wi), min(c.t_hi, we)
-            slab = self._read_chunk_slice(c, lo, hi)
-            if len(slab):
-                slabs.append(slab)
-                bounds.append((lo, hi))
-        if slabs:
-            pts, id_map = _members_to_points(pd.concat(slabs, ignore_index=True))
+        partial.sort(key=lambda c: c.t_lo)
+        frames = [self.store.read(c.chunk_id, name)
+                  for c in partial for name in self.store.list_partitions(c.chunk_id)]
+        if frames:
+            pts, id_map = _members_to_points(pd.concat(frames, ignore_index=True), wi, we)
+        if frames and len(pts):
             members, live_reps = _run_s2t(pts, qparams, id_map)
             members["cluster"] = [
                 f"b:rep-{int(k)}" if k >= 0 else OUTLIER_KEY
@@ -357,8 +358,10 @@ class ReTraTree:
             ]
             live = {f"b:rep-{r.rep_id}": r for r in live_reps}
             # split rows/reps back into per-boundary regions (a rep lives
-            # in the region containing its polyline start)
-            for lo, hi in bounds:
+            # in the region containing its polyline start); a region of
+            # no rows and no reps changes no merge
+            for c in partial:
+                lo, hi = max(c.t_lo, wi), min(c.t_hi, we)
                 mask = (members["t_start"] >= lo - 1e-9) & (members["t_start"] < hi)
                 reps = {
                     key: (r.ts, r.xs, r.ys)
@@ -387,29 +390,6 @@ class ReTraTree:
             n_partial=len(partial),
         )
 
-    def _read_chunk_slice(self, c: ChunkEntry, lo: float, hi: float) -> pd.DataFrame:
-        """All member rows of a chunk clipped to [lo, hi], keeping the rows
-        with at least two points there (level 2)."""
-        frames = [self.store.read(c.chunk_id, name)
-                  for name in self.store.list_partitions(c.chunk_id)]
-        frames = [f for f in frames if len(f)]
-        if not frames:
-            return _empty_members()
-        rows = pd.concat(frames, ignore_index=True)
-        row, ts, xs, ys = _explode(rows, lo, hi)
-        n = np.bincount(row, minlength=len(rows))
-        kept = np.flatnonzero(n >= 2)
-        if not len(kept):
-            return _empty_members()
-        keep = n[row] >= 2
-        ts, xs, ys, n = ts[keep], xs[keep], ys[keep], n[kept]
-        first = np.cumsum(n) - n
-        out = rows.iloc[kept].reset_index(drop=True)
-        out["t_start"], out["t_end"] = ts[first], ts[first + n - 1]
-        for col, a in (("ts", ts), ("xs", xs), ("ys", ys)):
-            out[col] = pd.Series(np.split(a, first[1:]), dtype=object)
-        return out[MEMBER_COLS]
-
 
 def _empty_members() -> pd.DataFrame:
     pdf = pd.DataFrame(columns=MEMBER_COLS + ["cluster"])
@@ -427,26 +407,31 @@ def _explode(
     """
     n = np.array([len(a) for a in rows["ts"]], dtype=np.int64)
     row = np.repeat(np.arange(len(rows)), n)
-    ts, xs, ys = (np.concatenate([np.empty(0), *rows[c]]).astype(np.float64, copy=False)
-                  for c in ("ts", "xs", "ys"))
+    ts, xs, ys = (np.concatenate([np.empty(0), *rows[c]]) for c in ("ts", "xs", "ys"))
     keep = (ts >= lo) & (ts <= hi)
     return row[keep], ts[keep], xs[keep], ys[keep]
 
 
-def _members_to_points(members: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]:
+def _members_to_points(
+    members: pd.DataFrame, lo: float = -np.inf, hi: float = np.inf
+) -> tuple[pd.DataFrame, np.ndarray]:
     """Explode member polylines back into a pandas points frame, which S2T
-    clusters in the driver process.
+    clusters in the driver process: the points with ``lo <= t <= hi`` of
+    the rows that keep at least two of them (a QuT boundary passes its
+    window; the outlier re-cluster keeps every point).
 
     Distinct sub-trajectories of the same trajectory get distinct
-    synthetic traj_ids (their row positions) so S2T treats them
-    independently (they may be separated by data the window excluded).
-    Returns the points plus the synthetic-id -> original-traj-id array,
-    which callers MUST apply to any traj_id column derived from the S2T
-    result (see :func:`_run_s2t`).
+    synthetic traj_ids (their row positions in ``members``) so S2T treats
+    them independently (they may be separated by data the window
+    excluded).  Returns the points plus the synthetic-id -> original-
+    traj-id array, which callers MUST apply to any traj_id column derived
+    from the S2T result (see :func:`_run_s2t`).
     """
-    row, ts, xs, ys = _explode(members)
+    row, ts, xs, ys = _explode(members, lo, hi)
+    keep = np.bincount(row, minlength=len(members))[row] >= 2
     traj = members["traj_id"].to_numpy(dtype=np.int64)
-    pdf = pd.DataFrame({"obj_id": traj[row], "traj_id": row, "t": ts, "x": xs, "y": ys})
+    pdf = pd.DataFrame({"obj_id": traj[row[keep]], "traj_id": row[keep],
+                        "t": ts[keep], "x": xs[keep], "y": ys[keep]})
     return pdf, traj
 
 

@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.qut_baseline import qut_baseline
 from repro.core.s2t import S2TParams
@@ -304,6 +306,56 @@ def test_qut_timings_keys(retratree):
     assert set(qr.timings) == {"reuse", "recluster", "merge", "total"}
 
 
+def _polyline_points(rows: pd.DataFrame) -> pd.DataFrame:
+    """One row per polyline point of ``rows``: its row position, traj_id
+    and t, and whether it is an end of its polyline."""
+    n = np.array([len(ts) for ts in rows["ts"]], dtype=np.int64)
+    end = np.zeros(int(n.sum()), dtype=bool)
+    end[np.cumsum(n) - 1] = end[np.cumsum(n) - n] = True
+    return pd.DataFrame({
+        "row": np.repeat(np.arange(len(rows)), n),
+        "traj_id": np.repeat(rows["traj_id"].to_numpy(dtype=np.int64), n),
+        "t": np.concatenate([np.empty(0), *rows["ts"]]),
+        "end": end,
+    })
+
+
+# the fixture's chunks are [0, 1800), ..., [5400, 7200); samples are 30 s apart
+@example(wi=900.0, width=20.0)     # inside one chunk, shorter than a sampling step
+@example(wi=1790.0, width=20.0)    # across a chunk boundary, shorter than a step
+@example(wi=1790.0, width=910.0)   # the first boundary slab is empty
+@example(wi=2700.0, width=2710.0)  # the last boundary slab is empty
+@example(wi=1800.0, width=3600.0)  # chunk-aligned: reuse only
+@settings(max_examples=25, deadline=None)
+@given(wi=st.floats(-900.0, 7200.0),
+       width=st.one_of(st.floats(0.5, 29.0), st.floats(29.0, 5400.0)))
+def test_property_qut_answer_is_the_stored_points_in_window(retratree, wi, width):
+    """A QuT answer holds, keyed by ``(traj_id, t)``, exactly the points
+    stored in the chunks inside W plus the in-W points of the boundary
+    chunks' rows that keep at least two there; a point repeats only as an
+    end of every row holding it; ``point_labels`` labels each polyline
+    point once."""
+    tree, we = retratree, wi + width
+    assert tree.chunk_width == 1800.0
+    q = tree.qut(wi, we)
+    want = set()
+    for c in tree.chunks.values():
+        names = tree.store.list_partitions(c.chunk_id)
+        if not (c.t_lo < we and c.t_hi > wi and names):
+            continue
+        pts = _polyline_points(pd.concat([tree.store.read(c.chunk_id, name) for name in names],
+                                         ignore_index=True))
+        if not (c.t_lo >= wi and c.t_hi <= we):
+            inside = pts["t"].between(wi, we)
+            pts = pts[inside & (inside.groupby(pts["row"]).transform("sum") >= 2)]
+        want |= set(zip(pts["traj_id"], pts["t"]))
+    got = _polyline_points(q.rows)
+    assert set(zip(got["traj_id"], got["t"])) == want
+    g = got.groupby(["traj_id", "t"])["end"].agg(["size", "sum"])
+    assert ((g["size"] == 1) | (g["sum"] == g["size"])).all()
+    assert len(q.point_labels()) == len(got)
+
+
 def _labels(traj, t, cluster):
     return pd.DataFrame({"traj_id": np.asarray(traj, dtype=np.int64),
                          "t": np.asarray(t, dtype=np.float64),
@@ -326,9 +378,11 @@ def test_point_labels_rows_order_dtypes(rows, expected):
     pd.testing.assert_frame_equal(got, expected)
 
 
-def test_read_chunk_slice_keeps_rows_with_two_points(tmp_path):
-    """Rows are clipped to [lo, hi] (bounds inclusive); a row keeping
-    fewer than two points is dropped."""
+def test_members_to_points_clips_to_window_and_keeps_rows_with_two_points(tmp_path):
+    """A boundary chunk's rows, read in partition-name order, flatten to
+    their points in [lo, hi] (bounds inclusive); a row keeping fewer than
+    two points there is dropped.  Synthetic traj_ids are row positions
+    and the id map takes them back to the stored ids."""
     tree = ReTraTree(tmp_path, TEST_PARAMS, chunk_width=100.0)
 
     def member(tid, ts):
@@ -340,15 +394,19 @@ def test_read_chunk_slice_keeps_rows_with_two_points(tmp_path):
         member(1, [10, 20, 30, 40]), member(2, [10, 16, 50]), member(3, [36, 37]),
     ], columns=MEMBER_COLS))
     tree.store.write(0, OUTLIER_PARTITION, pd.DataFrame([member(4, [14, 15, 35, 36])]))
-    got = tree._read_chunk_slice(tree._chunk_entry(0), 15.0, 35.0)
     # partitions are read in name order: "outliers" before "rep-0"
-    assert list(got.columns) == MEMBER_COLS
-    assert got["traj_id"].tolist() == [4, 1]
-    assert got["t_start"].tolist() == [15.0, 20.0]
-    assert got["t_end"].tolist() == [35.0, 30.0]
-    for col, f in (("ts", lambda t: t), ("xs", lambda t: t + 0.5), ("ys", lambda t: -t)):
-        assert [a.tolist() for a in got[col]] == [f(np.array([15.0, 35.0])).tolist(),
-                                                 f(np.array([20.0, 30.0])).tolist()]
+    assert tree.store.list_partitions(0) == [OUTLIER_PARTITION, "rep-0"]
+    rows = pd.concat([tree.store.read(0, name) for name in tree.store.list_partitions(0)],
+                     ignore_index=True)
+    pts, id_map = tree_mod._members_to_points(rows, 15.0, 35.0)
+    t = np.array([15.0, 35.0, 20.0, 30.0])
+    pd.testing.assert_frame_equal(pts, pd.DataFrame({
+        "obj_id": np.array([4, 4, 1, 1], dtype=np.int64),
+        "traj_id": np.array([0, 0, 1, 1], dtype=np.int64),
+        "t": t, "x": t + 0.5, "y": -t,
+    }))
+    assert id_map[pts["traj_id"]].tolist() == [4, 4, 1, 1]
+    assert id_map.tolist() == [4, 1, 2, 3]
 
 
 def test_baseline_timings_structure(spark, mod_points):

@@ -40,7 +40,10 @@ def test_write_read_roundtrip(store):
     meta = store.write(0, "rep-0", m)
     back = store.read(0, "rep-0")
     assert len(back) == 5
-    np.testing.assert_allclose(back["ts"].iloc[2], m["ts"].iloc[2])
+    for c in ("ts", "xs", "ys"):
+        for got, want in zip(back[c], m[c]):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            np.testing.assert_array_equal(got, want, strict=True)
     assert meta.n_members == 5 and meta.chunk_id == 0 and meta.name == "rep-0"
 
 

@@ -105,9 +105,11 @@ def test_property_assemble_one_partitions_the_chain(seg):
         a, b = rows[0], rows[-1] + 1
         assert r["n_segs"] == b - a
         assert len(r["ts"]) == len(r["xs"]) == len(r["ys"]) == r["n_segs"] + 1
-        assert r["ts"] == [seg["t1"].iloc[a], *seg["t2"].iloc[a:b]]
-        assert r["xs"] == [seg["x1"].iloc[a], *seg["x2"].iloc[a:b]]
-        assert r["ys"] == [seg["y1"].iloc[a], *seg["y2"].iloc[a:b]]
+        for c in ("ts", "xs", "ys"):
+            assert isinstance(r[c], np.ndarray) and r[c].dtype == np.float64
+        assert r["ts"].tolist() == [seg["t1"].iloc[a], *seg["t2"].iloc[a:b]]
+        assert r["xs"].tolist() == [seg["x1"].iloc[a], *seg["x2"].iloc[a:b]]
+        assert r["ys"].tolist() == [seg["y1"].iloc[a], *seg["y2"].iloc[a:b]]
         assert (r["t_start"], r["t_end"]) == (r["ts"][0], r["ts"][-1])
         assert r["sum_vote"] == v[a:b].sum()
         assert r["mean_vote"] == v[a:b].mean()
