@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame
 
 from repro.core.s2t import S2TParams, S2TResult, s2t_clustering, point_labels
 from repro.index.rtree3d import Rtree3D, segment_boxes
-from repro.mod.model import points_to_segments, temporal_range
+from repro.mod.model import SEGMENT_COLS, points_to_segments, temporal_range
 
 
 @dataclass
@@ -49,11 +49,7 @@ def qut_baseline(
     timings["range_query"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    seg_pdf = (
-        points_to_segments(wpts)
-        .select("t1", "x1", "y1", "t2", "x2", "y2")
-        .toPandas()
-    )
+    seg_pdf = points_to_segments(wpts).select(*SEGMENT_COLS[2:]).toPandas()
     tree = Rtree3D.bulk_load(segment_boxes(seg_pdf.to_numpy(dtype=np.float64)))
     timings["index_build"] = time.perf_counter() - t0
 

@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Segment row layout used throughout the in-pandas kernels.
-SEG_FIELDS = ("t1", "x1", "y1", "t2", "x2", "y2")
-
 
 def min_moving_distance(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise min distance between co-temporal moving points.

@@ -2,8 +2,8 @@
 
 Phase 1, NaTS: voting (``core.voting``) then segmentation
 (``core.segmentation``), which cuts each trajectory and assembles its
-sub-trajectory rows (``core.subtraj``) in one pass: per trajectory
-group in a Spark job, over the whole frame in the driver process.
+sub-trajectory rows (``core.subtraj``) in one pass: once per trajectory
+partition in a Spark job, over the whole frame in the driver process.
 Phase 2, SaCO: sampling (``core.sampling``), greedy clustering with
 outlier isolation (``core.clustering``); it runs on the driver over the
 sub-trajectory table, with one distance matrix, for either engine.
@@ -14,7 +14,8 @@ returns everything downstream consumers need: votes, sub-trajectories
 representatives, cluster assignment and the timing breakdown.  The input
 type picks the engine of the NaTS phase; both run the same kernels:
 
-- a Spark DataFrame runs it as Spark jobs (``applyInPandas``,
+- a Spark DataFrame runs it as Spark jobs (``applyInPandas`` per voting
+  bucket, ``mod.model.by_trajectory`` per trajectory partition,
   relational aggregation), caching and forcing each intermediate so
   per-phase wall times are real (Table C reports them), then collects
   the sub-trajectory table for SaCO.  The batch paths use it: a whole

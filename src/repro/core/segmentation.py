@@ -9,10 +9,10 @@ group A, then drifts alone, then joins group B is cut into three
 sub-trajectories.
 
 Method: one pass over the voted segments of any number of trajectories,
-sorted by ``(traj_id, seg_id)`` — one ``applyInPandas`` group per
-trajectory over a Spark DataFrame (embarrassingly parallel, as the
-calibration hint prescribes), the whole frame at once when the voted
-segments already live on the driver:
+sorted by ``(traj_id, seg_id)`` — once per trajectory partition of a
+Spark DataFrame (``mod.model.by_trajectory``: embarrassingly parallel,
+as the calibration hint prescribes), once over the whole frame when the
+voted segments already live on the driver:
 
 1. *Forced* boundaries at each trajectory's start and at sampling gaps
    longer than ``max_gap`` — a trajectory with a data hole cannot be one
@@ -38,6 +38,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.subtraj import SUBTRAJ_COLS, SUBTRAJ_SCHEMA, _assemble_one
+from repro.mod.model import by_trajectory
 
 
 def _noise_var(v: np.ndarray) -> float:
@@ -124,9 +125,9 @@ def segment_trajectories(
     voted_segments: DataFrame | pd.DataFrame, *, min_len: int, lam: float, max_gap: float
 ) -> DataFrame | pd.DataFrame:
     """NaTS segmentation: voted segments -> sub-trajectory rows
-    (``SUBTRAJ_SCHEMA``), by one kernel: once per trajectory in a grouped
-    ``applyInPandas`` over a Spark DataFrame, once over a whole pandas
-    frame.
+    (``SUBTRAJ_SCHEMA``), by one kernel: once per trajectory partition of
+    a Spark DataFrame (:func:`~repro.mod.model.by_trajectory`), once over
+    a whole pandas frame.
 
     ``min_len`` — minimum sub-trajectory length in segments;
     ``lam`` — BIC penalty multiplier (higher = fewer cuts);
@@ -137,7 +138,7 @@ def segment_trajectories(
         return _assemble_one(_segment_one(pdf, min_len, lam, max_gap))
 
     if isinstance(voted_segments, DataFrame):
-        return voted_segments.groupBy("traj_id").applyInPandas(segment, schema=SUBTRAJ_SCHEMA)
+        return by_trajectory(voted_segments, segment, SUBTRAJ_SCHEMA)
     if voted_segments.empty:
         return pd.DataFrame(columns=SUBTRAJ_COLS)
     return segment(voted_segments)

@@ -45,9 +45,12 @@ _PAIR_SCHEMA = "traj_id long, seg_id long, voter long, vote double"
 #: are treated as zero, bounding each segment's candidate set.
 CUTOFF_SIGMAS = 3.0
 
+#: Rows of the naive scan's pair matrix scored at a time (bounds memory).
+_NAIVE_CHUNK = 512
+
 
 def _seg_matrix(pdf: pd.DataFrame) -> np.ndarray:
-    return pdf[["t1", "x1", "y1", "t2", "x2", "y2"]].to_numpy(dtype=np.float64)
+    return pdf[SEGMENT_COLS[2:]].to_numpy(dtype=np.float64)
 
 
 def _empty_votes() -> pd.DataFrame:
@@ -151,7 +154,6 @@ def vote_segments_naive(
     *,
     sigma: float,
     cutoff: float | None = None,
-    chunk: int = 512,
 ) -> DataFrame:
     """Unindexed voting: the nested-loop "PostgreSQL function" comparator.
 
@@ -169,8 +171,8 @@ def vote_segments_naive(
     seg_id = pdf["seg_id"].to_numpy(dtype=np.int64)
     n = len(seg)
     parts = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _NAIVE_CHUNK):
+        hi = min(lo + _NAIVE_CHUNK, n)
         rows = np.arange(lo, hi, dtype=np.int64)
         ei = np.repeat(rows, n)
         fj = np.tile(np.arange(n, dtype=np.int64), hi - lo)

@@ -48,23 +48,14 @@ class Hermes:
 
     # ------------------------------------------------------------- datatypes
     def _register_operands(self) -> None:
-        self.spark.udf.register(
-            "seg_length",
-            lambda x1, y1, x2, y2: float(((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5),
-            "double",
-        )
+        def dist(x1, y1, x2, y2):
+            return float(((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5)
+
+        for name in ("seg_length", "point_dist"):
+            self.spark.udf.register(name, dist, "double")
         self.spark.udf.register(
             "seg_speed",
-            lambda t1, x1, y1, t2, x2, y2: float(
-                (((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5) / (t2 - t1)
-            )
-            if t2 > t1
-            else 0.0,
-            "double",
-        )
-        self.spark.udf.register(
-            "point_dist",
-            lambda x1, y1, x2, y2: float(((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5),
+            lambda t1, x1, y1, t2, x2, y2: dist(x1, y1, x2, y2) / (t2 - t1) if t2 > t1 else 0.0,
             "double",
         )
 

@@ -23,17 +23,45 @@ Schemas
     Segmentation output — one row per sub-trajectory (ids 0-based per
     trajectory, temporally ordered) with its voting summary and its
     polyline as arrays; see ``core.subtraj.SUBTRAJ_SCHEMA``.
+
+Per-trajectory work (segments, NaTS segmentation) is one pandas kernel,
+which a Spark frame runs once per trajectory partition
+(:func:`by_trajectory`): the engine decides only how data is spread.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+SEGMENT_SCHEMA = (
+    "traj_id long, seg_id long, t1 double, x1 double, y1 double, "
+    "t2 double, x2 double, y2 double"
+)
 #: Column order of the canonical segment schema (used by tests and the
 #: in-pandas kernels so positional numpy views line up).
-SEGMENT_COLS = ["traj_id", "seg_id", "t1", "x1", "y1", "t2", "x2", "y2"]
+SEGMENT_COLS = [f.split()[0] for f in SEGMENT_SCHEMA.split(", ")]
+
+
+def by_trajectory(df: DataFrame, fn: Callable[[pd.DataFrame], pd.DataFrame],
+                  schema: str) -> DataFrame:
+    """Run the pandas kernel ``fn`` once per partition of ``df`` hashed by
+    ``traj_id``, so each call sees whole trajectories.
+
+    A partition's Arrow batches are joined into one frame before the
+    call (a trajectory may span several batches); an empty partition
+    makes no call.  ``fn`` must take a frame of any number of
+    trajectories, in any row order, and return rows of ``schema``.
+    """
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        frames = list(batches)
+        if frames:
+            yield fn(pd.concat(frames, ignore_index=True))
+
+    return df.repartition("traj_id").mapInPandas(run, schema=schema)
 
 
 def points_to_segments(points: DataFrame | pd.DataFrame) -> DataFrame | pd.DataFrame:
@@ -41,42 +69,28 @@ def points_to_segments(points: DataFrame | pd.DataFrame) -> DataFrame | pd.DataF
 
     Consecutive samples of each trajectory (ordered by ``(t, x, y)``, so
     the samples of a duplicate timestamp have a defined order) become 3D
-    line segments.  A Spark DataFrame is planned with window functions,
-    a single shuffle by ``traj_id``; the equivalent SQL (``lead`` over a
-    partition) is what the DuckDB oracle checks in the tests.  A pandas
-    frame takes the same ``lead`` per trajectory with ``shift``.
+    line segments: the ``lead`` of each sample per trajectory, taken with
+    ``shift`` on a pandas frame; a Spark DataFrame runs that same kernel
+    once per trajectory partition (:func:`by_trajectory`).  The
+    equivalent SQL (``lead`` over a partition) is what the DuckDB oracle
+    checks in the tests.
 
     Zero-duration segments (duplicate timestamps) are dropped — they
     carry no motion and would divide by zero in the distance kernels.
     """
-    if isinstance(points, pd.DataFrame):
-        pts = points.sort_values(["traj_id", "t", "x", "y"], ignore_index=True)
-        nxt = pts.groupby("traj_id")[["t", "x", "y"]].shift(-1)
-        seg = pd.DataFrame({
-            "traj_id": pts["traj_id"].astype(np.int64),
-            "t1": pts["t"], "x1": pts["x"], "y1": pts["y"],
-            "t2": nxt["t"], "x2": nxt["x"], "y2": nxt["y"],
-        }).astype({c: np.float64 for c in SEGMENT_COLS[2:]})
-        seg = seg[seg["t2"].notna() & (seg["t2"] > seg["t1"])].reset_index(drop=True)
-        seg["seg_id"] = seg.groupby("traj_id").cumcount().astype(np.int64)
-        return seg[SEGMENT_COLS]
-    w = Window.partitionBy("traj_id").orderBy("t", "x", "y")
-    seg = (
-        points.select(
-            "traj_id",
-            F.col("t").alias("t1"),
-            F.col("x").alias("x1"),
-            F.col("y").alias("y1"),
-            F.lead("t").over(w).alias("t2"),
-            F.lead("x").over(w).alias("x2"),
-            F.lead("y").over(w).alias("y2"),
-        )
-        .where(F.col("t2").isNotNull() & (F.col("t2") > F.col("t1")))
-    )
-    w2 = Window.partitionBy("traj_id").orderBy("t1")
-    return seg.withColumn(
-        "seg_id", (F.row_number().over(w2) - F.lit(1)).cast("long")
-    ).select(*SEGMENT_COLS)
+    if isinstance(points, DataFrame):
+        return by_trajectory(points.select("traj_id", "t", "x", "y"),
+                             points_to_segments, SEGMENT_SCHEMA)
+    pts = points.sort_values(["traj_id", "t", "x", "y"], ignore_index=True)
+    nxt = pts.groupby("traj_id")[["t", "x", "y"]].shift(-1)
+    seg = pd.DataFrame({
+        "traj_id": pts["traj_id"].astype(np.int64),
+        "t1": pts["t"], "x1": pts["x"], "y1": pts["y"],
+        "t2": nxt["t"], "x2": nxt["x"], "y2": nxt["y"],
+    }).astype({c: np.float64 for c in SEGMENT_COLS[2:]})
+    seg = seg[seg["t2"].notna() & (seg["t2"] > seg["t1"])].reset_index(drop=True)
+    seg["seg_id"] = seg.groupby("traj_id").cumcount().astype(np.int64)
+    return seg[SEGMENT_COLS]
 
 
 def temporal_range(points: DataFrame, t_start: float, t_end: float) -> DataFrame:

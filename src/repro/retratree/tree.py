@@ -300,7 +300,6 @@ class ReTraTree:
         we: float,
         *,
         d_merge: float | None = None,
-        t_gap: float | None = None,
         params: "S2TParams | None" = None,
     ) -> QuTResult:
         """QuT-Clustering for temporal window ``[wi, we]``.
@@ -308,13 +307,12 @@ class ReTraTree:
         Full chunks: cluster *reuse* (partition reads only).  Partial
         boundary chunks: S2T on just the clipped slice.  Then clusters of
         temporally adjacent regions whose representatives are continuous
-        (endpoint gap <= ``d_merge`` within ``t_gap`` seconds) are merged.
+        (endpoint gap <= ``d_merge`` within a quarter chunk width) are merged.
         """
         if we <= wi:
             raise ValueError("window must satisfy wi < we")
         qparams = params or self.params  # boundary re-clustering knobs (SQL API overrides)
         d_merge = d_merge if d_merge is not None else qparams.eps_eff
-        t_gap = t_gap if t_gap is not None else 0.25 * self.chunk_width
         timings: dict[str, float] = {}
         regions: list[dict] = []  # {t_lo, t_hi, reps: {key: (ts,xs,ys)}, rows: pdf}
 
@@ -375,7 +373,7 @@ class ReTraTree:
         timings["recluster"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        dsu = _merge_regions(regions, d_merge, t_gap)
+        dsu = _merge_regions(regions, d_merge, 0.25 * self.chunk_width)
         frames = [r["rows"] for r in regions if len(r["rows"])]
         rows = pd.concat(frames, ignore_index=True) if frames else _empty_members()
         rows["cluster"] = [

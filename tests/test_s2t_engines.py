@@ -64,6 +64,32 @@ def test_engines_agree_on_tier1_mod(spark, mod_pdf):
         dist.unpersist()
 
 
+def test_engines_agree_when_trajectories_span_arrow_batches(spark, mod_pdf):
+    """The Spark engine's per-partition kernels see whole trajectories
+    even when a trajectory's rows arrive in several Arrow batches and
+    some partitions hold none: 16-row batches, twice as many shuffle
+    partitions as trajectories, and no adaptive coalescing of them."""
+    conf = {
+        "spark.sql.execution.arrow.maxRecordsPerBatch": "16",
+        "spark.sql.shuffle.partitions": str(2 * mod_pdf["traj_id"].nunique()),
+        "spark.sql.adaptive.coalescePartitions.enabled": "false",
+    }
+    saved = {k: spark.conf.get(k) for k in conf}
+    try:
+        for k, v in conf.items():
+            spark.conf.set(k, v)
+        sizes = make_points_df(spark, mod_pdf).repartition("traj_id").rdd.glom().map(len).collect()
+        assert min(sizes) == 0 and max(sizes) > 16
+        local, dist = _both(spark, mod_pdf, TEST_PARAMS)
+        try:
+            assert_same_run(local, dist)
+        finally:
+            dist.unpersist()
+    finally:
+        for k, v in saved.items():
+            spark.conf.set(k, v)
+
+
 @st.composite
 def small_mods(draw) -> pd.DataFrame:
     """A few trajectories sampled every 30 s in two loose bundles and one
