@@ -24,8 +24,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.distance import sync_distance
-from repro.mod.model import collect_polylines
+from repro.core.distance import sync_distance_to_many
+from repro.mod.model import split_polylines
 
 _FAR = 1e9  # finite stand-in for "no temporal overlap"
 
@@ -33,14 +33,11 @@ _FAR = 1e9  # finite stand-in for "no temporal overlap"
 def trajectory_distance_matrix(polys: pd.DataFrame, *, n_samples: int = 32) -> np.ndarray:
     """Symmetric time-synchronized distance matrix over trajectories."""
     n = len(polys)
-    ts, xs, ys = (polys[c].to_numpy() for c in ("ts", "xs", "ys"))
+    arrs = list(zip(polys["ts"], polys["xs"], polys["ys"]))
     m = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
-        for j in range(i + 1, n):
-            d = sync_distance(ts[i], xs[i], ys[i], ts[j], xs[j], ys[j], n_samples=n_samples)
-            if not np.isfinite(d):
-                d = _FAR
-            m[i, j] = m[j, i] = d
+        d = sync_distance_to_many(*arrs[i], arrs[i + 1:], n_samples=n_samples)
+        m[i, i + 1:] = m[i + 1:, i] = np.where(np.isfinite(d), d, _FAR)
     return m
 
 
@@ -104,12 +101,12 @@ def t_optics(
     points: DataFrame, *, min_pts: int = 3, xi_eps: float = 3.0, n_samples: int = 32
 ) -> TOpticsResult:
     """Full T-OPTICS over a points DataFrame."""
-    polys = collect_polylines(points)
+    pts = points.select("traj_id", "t", "x", "y").toPandas()
+    polys = split_polylines(pts, ["traj_id"])
     dist = trajectory_distance_matrix(polys, n_samples=n_samples)
     order, reach = optics_order(dist, min_pts)
     labels = extract_clusters(order, reach, xi_eps)
     trajs = pd.DataFrame({"traj_id": polys["traj_id"].to_numpy(), "cluster_id": labels})
-    pts = points.select("traj_id", "t").toPandas()
-    out = pts.merge(trajs, on="traj_id", how="left")
+    out = pts[["traj_id", "t"]].merge(trajs, on="traj_id", how="left")
     out["cluster_id"] = out["cluster_id"].fillna(-1).astype(np.int64)
     return TOpticsResult(trajectories=trajs, point_labels=out)

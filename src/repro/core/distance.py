@@ -125,8 +125,8 @@ def sync_distance_to_many(
 ) -> np.ndarray:
     """Distance of one polyline to each of ``reps`` (list of (ts, xs, ys)).
 
-    The one-row case: ReTraTree's insert places a piece by its distance
-    to each representative of its chunk.
+    The one "polyline vs many" loop of sampling, T-OPTICS and ReTraTree's
+    insert.  :func:`sync_distance` is symmetric bit for bit.
     """
     out = np.empty(len(reps), dtype=np.float64)
     for i, (rts, rxs, rys) in enumerate(reps):

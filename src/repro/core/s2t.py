@@ -18,8 +18,9 @@ type picks the engine of the NaTS phase; both run the same kernels:
   bucket, ``mod.model.by_trajectory`` per trajectory partition,
   relational aggregation), caching and forcing each intermediate so
   per-phase wall times are real (Table C reports them), then collects
-  the sub-trajectory table for SaCO.  The batch paths use it: a whole
-  MOD, the QuT baseline;
+  the sub-trajectory table for SaCO, from which :func:`point_labels`
+  labels the points.  The batch paths use it: a whole MOD, the QuT
+  baseline;
 - a pandas frame runs it in the driver process.  Every
   ReTraTree run uses it: the bulk load's chunks, the QuT boundary slabs
   and the outlier re-clusters hold a few thousand to a few tens of
@@ -40,11 +41,7 @@ from repro.core.sampling import Representative, sample_representatives
 from repro.core.segmentation import segment_trajectories
 from repro.core.subtraj import subtrajs_to_pandas
 from repro.core.voting import vote_segments
-from repro.mod.model import points_to_segments
-
-#: ``S2TResult.clusters`` as ``point_labels`` ships it; explicit, so an
-#: empty table converts too.
-_CLUSTER_SCHEMA = "traj_id long, subtraj_id long, cluster_id long"
+from repro.mod.model import explode_polylines, points_to_segments
 
 
 @dataclass
@@ -189,19 +186,17 @@ def point_labels(points: DataFrame, result: S2TResult) -> DataFrame:
     sub-trajectory and at most on the one before it (as its end), so it
     takes the largest ``subtraj_id`` whose polyline holds its ``t``.
     Points on no polyline (one-point trajectories) are outliers.  The
-    driver-side ``clusters`` table is shipped to Spark once, here.
+    labels are made on the driver, from ``sub_pdf``'s exploded polylines
+    and ``clusters`` (same row order, sorted, so the last row of a
+    ``(traj_id, t)`` has the largest ``subtraj_id``), and shipped once.
     """
-    point_sub = (
-        result.subtrajs.select("traj_id", "subtraj_id", F.explode("ts").alias("t"))
-        .groupBy("traj_id", "t")
-        .agg(F.max("subtraj_id").alias("subtraj_id"))
-    )
-    clusters = points.sparkSession.createDataFrame(
-        result.clusters[["traj_id", "subtraj_id", "cluster_id"]], schema=_CLUSTER_SCHEMA
-    )
-    out = points.join(point_sub, ["traj_id", "t"], "left").join(
-        clusters, ["traj_id", "subtraj_id"], "left"
-    )
+    row, ts, _, _ = explode_polylines(result.sub_pdf)
+    labels = (result.clusters.iloc[row][["traj_id", "subtraj_id", "cluster_id"]].assign(t=ts)
+              .drop_duplicates(["traj_id", "t"], keep="last"))
+    # an explicit schema, so an empty table converts too
+    labels = points.sparkSession.createDataFrame(
+        labels, schema="traj_id long, subtraj_id long, cluster_id long, t double")
+    out = points.join(labels, ["traj_id", "t"], "left")
     return out.withColumn(
         "cluster_id", F.coalesce(F.col("cluster_id"), F.lit(OUTLIER))
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.core.distance import sync_distance
+from repro.core.distance import sync_distance_to_many
 
 
 @dataclass
@@ -64,7 +64,8 @@ def sample_representatives(
 
     Returns the representatives and the ``len(subtrajs_pdf) x len(reps)``
     matrix whose column k holds ``sync_distance(row, rep k)`` for every
-    row, short ones included.
+    row, short ones included (filled as ``sync_distance_to_many`` of rep
+    k; the distance is symmetric bit for bit).
     """
     if not eps > 0.0:  # the similarity kernel divides by eps
         raise ValueError(f"eps must be positive, got {eps}")
@@ -91,10 +92,7 @@ def sample_representatives(
             subtraj_id=int(subtrajs_pdf["subtraj_id"].iloc[row]),
             ts=ts, xs=xs, ys=ys, score=s,
         ))
-        d = np.array([
-            sync_distance(*a, ts, xs, ys, n_samples=n_samples, min_overlap=min_overlap)
-            for a in arrs
-        ], dtype=np.float64)
+        d = sync_distance_to_many(ts, xs, ys, arrs, n_samples=n_samples, min_overlap=min_overlap)
         dists.append(d)
         # update novelties against the newly picked representative
         dc = d[cand]

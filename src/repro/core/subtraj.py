@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame
 
 SUBTRAJ_SCHEMA = (
     "traj_id long, subtraj_id long, t_start double, t_end double, "
-    "n_segs long, sum_vote double, mean_vote double, "
+    "n_segs long, sum_vote double, "
     "ts array<double>, xs array<double>, ys array<double>"
 )
 SUBTRAJ_COLS = [f.split()[0] for f in SUBTRAJ_SCHEMA.split(", ")]
@@ -54,7 +54,6 @@ def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
             "n_segs": ends - starts,
             # one sum per slice: np.add.reduceat would change the low bits
             "sum_vote": [v[a:b].sum() for a, b in zip(starts, ends)],
-            "mean_vote": [v[a:b].mean() for a, b in zip(starts, ends)],
             "ts": polylines("t1", "t2"),
             "xs": polylines("x1", "x2"),
             "ys": polylines("y1", "y2"),

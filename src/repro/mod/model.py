@@ -19,7 +19,7 @@ Schemas
     line segment in (x, y, t).
 
 ``subtrajs``:  traj_id, subtraj_id, t_start, t_end, n_segs, sum_vote,
-              mean_vote, ts, xs, ys
+              ts, xs, ys
     Segmentation output — one row per sub-trajectory (ids 0-based per
     trajectory, temporally ordered) with its voting summary and its
     polyline as arrays; see ``core.subtraj.SUBTRAJ_SCHEMA``.
@@ -27,6 +27,10 @@ Schemas
 Per-trajectory work (segments, NaTS segmentation) is one pandas kernel,
 which a Spark frame runs once per trajectory partition
 (:func:`by_trajectory`): the engine decides only how data is spread.
+
+Points and polyline rows (sub-trajectories, member rows, trajectories)
+convert by one kernel each way: :func:`split_polylines` and
+:func:`explode_polylines`.
 """
 from __future__ import annotations
 
@@ -49,7 +53,8 @@ SEGMENT_COLS = [f.split()[0] for f in SEGMENT_SCHEMA.split(", ")]
 def by_trajectory(df: DataFrame, fn: Callable[[pd.DataFrame], pd.DataFrame],
                   schema: str) -> DataFrame:
     """Run the pandas kernel ``fn`` once per partition of ``df`` hashed by
-    ``traj_id``, so each call sees whole trajectories.
+    ``traj_id``, so each call sees whole trajectories; one partition per
+    core, not per shuffle partition, as each Python task has a fixed cost.
 
     A partition's Arrow batches are joined into one frame before the
     call (a trajectory may span several batches); an empty partition
@@ -61,7 +66,8 @@ def by_trajectory(df: DataFrame, fn: Callable[[pd.DataFrame], pd.DataFrame],
         if frames:
             yield fn(pd.concat(frames, ignore_index=True))
 
-    return df.repartition("traj_id").mapInPandas(run, schema=schema)
+    width = df.sparkSession.sparkContext.defaultParallelism
+    return df.repartition(width, "traj_id").mapInPandas(run, schema=schema)
 
 
 def points_to_segments(points: DataFrame | pd.DataFrame) -> DataFrame | pd.DataFrame:
@@ -103,24 +109,36 @@ def temporal_range(points: DataFrame, t_start: float, t_end: float) -> DataFrame
     return points.where((F.col("t") >= F.lit(t_start)) & (F.col("t") <= F.lit(t_end)))
 
 
-def collect_polylines(points: DataFrame) -> pd.DataFrame:
-    """Collect per-trajectory polylines to the driver.
-
-    Returns a pandas frame with columns ``traj_id, ts, xs, ys``, one row
-    per trajectory in ``traj_id`` order, where ``ts/xs/ys`` are float64
-    numpy arrays sorted by ``(t, x, y)``: the points are collected once
-    and split per trajectory.  Used by the T-OPTICS baseline, which
-    clusters whole trajectories.
+def split_polylines(pdf: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
+    """Points -> polyline rows: one row per distinct value of the integer
+    ``keys`` columns of a points frame, in ``keys`` order, its samples
+    sorted by ``(t, x, y)`` into float64 arrays ``ts``, ``xs``, ``ys``.
+    No points give no rows.  The inverse of :func:`explode_polylines`.
     """
-    pts = points.select("traj_id", "t", "x", "y").toPandas()
-    pts = pts.sort_values(["traj_id", "t", "x", "y"], ignore_index=True)
-    tid = pts["traj_id"].to_numpy(dtype=np.int64)
-    starts = np.flatnonzero(np.diff(tid, prepend=tid[:1] - 1))
-    # split at every start, the first too, and drop the empty head piece:
-    # no points then give no rows
+    pts = pdf.sort_values([*keys, "t", "x", "y"], ignore_index=True)
+    key = pts[keys].to_numpy(dtype=np.int64)
+    starts = np.flatnonzero((np.diff(key, axis=0, prepend=key[:1] - 1) != 0).any(axis=1))
+    # split at every start, the first too, and drop the empty head piece
     polys = {c: np.split(pts[c[0]].to_numpy(dtype=np.float64), starts)[1:]
              for c in ("ts", "xs", "ys")}
-    return pd.DataFrame({"traj_id": tid[starts], **polys}, columns=["traj_id", "ts", "xs", "ys"])
+    return pd.DataFrame({**dict(zip(keys, key[starts].T)), **polys})
+
+
+def explode_polylines(
+    rows: pd.DataFrame, lo: float = -np.inf, hi: float = np.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Polyline rows -> points: flatten the ts/xs/ys polylines of
+    ``rows`` into point arrays, in row order, keeping the points with
+    ``lo <= t <= hi``.
+
+    Returns ``(row, ts, xs, ys)``: ``row`` is the position in ``rows`` of
+    each point's row.
+    """
+    n = np.array([len(a) for a in rows["ts"]], dtype=np.int64)
+    row = np.repeat(np.arange(len(rows)), n)
+    ts, xs, ys = (np.concatenate([np.empty(0), *rows[c]]) for c in ("ts", "xs", "ys"))
+    keep = (ts >= lo) & (ts <= hi)
+    return row[keep], ts[keep], xs[keep], ys[keep]
 
 
 def make_points_df(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:

@@ -24,11 +24,12 @@ Mapping here:
   stored.
 
 The incremental path of Fig. 2 is :meth:`ReTraTree.insert`: new
-trajectory pieces are assigned to an existing representative (archived
-into its partition) or buffered as outliers, with one append per touched
-partition; when a chunk's outlier partition exceeds ``tau``, S2T
-re-clusters it, new representatives are back-propagated into the
-in-memory level 3, members are archived, and the residue stays outlier.
+trajectories are cut into per-chunk pieces, each assigned to an existing
+representative (archived into its partition) or buffered as an outlier,
+with one append per touched partition; when a chunk's outlier partition
+exceeds ``tau``, S2T re-clusters it, new representatives are
+back-propagated into the in-memory level 3, members are archived, and
+the residue stays outlier.
 
 :meth:`ReTraTree.qut` is QuT-Clustering: chunks fully inside the window
 W are answered by *reusing* their stored clusters (partition reads, no
@@ -41,7 +42,9 @@ process, on a pandas frame.  The bulk load collects the MOD's points once
 and clusters each chunk's rows; the outlier re-cluster and the QuT
 boundary slabs start from partition rows read into the driver, whose
 float64 polylines :func:`_members_to_points` flattens once into S2T's
-points frame.  The tree holds no Spark session.
+points frame.  Points and rows convert by ``mod.model``'s
+``split_polylines`` (insert's pieces) and ``explode_polylines`` (the
+rest).  The tree holds no Spark session.
 """
 from __future__ import annotations
 
@@ -56,6 +59,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.distance import sync_distance_to_many
 from repro.core.s2t import S2TParams, s2t_clustering
 from repro.core.sampling import Representative
+from repro.mod.model import explode_polylines, split_polylines
 from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION, PartitionStore
 
 OUTLIER_KEY = None  # cluster key of outlier rows in QuT results
@@ -114,7 +118,7 @@ class QuTResult:
         clusters = self.rows["cluster"]
         keys = {k: i for i, k in enumerate(sorted({c for c in clusters if c is not None}))}
         labels = np.array([keys.get(c, -1) for c in clusters], dtype=np.int64)
-        row, ts, _, _ = _explode(self.rows)
+        row, ts, _, _ = explode_polylines(self.rows)
         return pd.DataFrame({
             "traj_id": self.rows["traj_id"].to_numpy(dtype=np.int64)[row],
             "t": ts,
@@ -236,25 +240,21 @@ class ReTraTree:
     # ----------------------------------------------------------------- insert
     def insert(self, points: DataFrame | pd.DataFrame) -> dict:
         """Incrementally insert new trajectories (Fig. 2's left-to-right
-        flow).  Pieces are assigned to an existing representative when
-        within ``eps`` (time-synchronized distance), else buffered as
+        flow).  Pieces, one per ``(traj_id, chunk)`` of two or more points
+        sorted by ``(t, x, y)``, are assigned to an existing representative
+        when within ``eps`` (time-synchronized distance), else buffered as
         chunk outliers; each touched partition then gets one append of its
         pieces, in ``(traj_id, chunk)`` order.  Exceeding ``tau`` triggers
         S2T on the outlier partition with representative back-propagation.
 
         Returns counters: assigned / outliers / reclustered_chunks.
         """
-        pdf = self._points_by_chunk(points).sort_values(["traj_id", "t"])
+        pieces = split_polylines(self._points_by_chunk(points), ["traj_id", "chunk"])
+        pieces = pieces[pieces["ts"].map(len) >= 2]
         stats = {"assigned": 0, "outliers": 0, "reclustered_chunks": 0}
-        targets: dict[tuple[int, str], list[dict]] = {}
-        for (tid, cid), piece in pdf.groupby(["traj_id", "chunk"]):
-            if len(piece) < 2:
-                continue
-            cid = int(cid)
-            entry = self._chunk_entry(cid)
-            ts = piece["t"].to_numpy(dtype=np.float64)
-            xs = piece["x"].to_numpy(dtype=np.float64)
-            ys = piece["y"].to_numpy(dtype=np.float64)
+        names = []
+        for cid, ts, xs, ys in zip(pieces["chunk"], pieces["ts"], pieces["xs"], pieces["ys"]):
+            entry = self._chunk_entry(int(cid))
             name = OUTLIER_PARTITION
             reps = entry.reps
             if reps:
@@ -271,14 +271,18 @@ class ReTraTree:
             if name == OUTLIER_PARTITION:
                 entry.outlier_count += 1
                 stats["outliers"] += 1
-            targets.setdefault((cid, name), []).append({
-                "traj_id": np.int64(tid), "subtraj_id": np.int64(0),
-                "t_start": float(ts[0]), "t_end": float(ts[-1]),
-                "sum_vote": 0.0, "ts": ts, "xs": xs, "ys": ys,
-            })
-        for (cid, name), rows in targets.items():
-            self.store.append(cid, name, pd.DataFrame(rows, columns=MEMBER_COLS))
-        for cid in sorted({cid for cid, name in targets if name == OUTLIER_PARTITION}):
+            names.append(name)
+        members = pieces.assign(
+            subtraj_id=np.int64(0),
+            t_start=[ts[0] for ts in pieces["ts"]],
+            t_end=[ts[-1] for ts in pieces["ts"]],
+            sum_vote=0.0,
+            partition=names,
+        )
+        for (cid, name), rows in members.groupby(["chunk", "partition"], sort=False):
+            self.store.append(int(cid), name, rows)
+        buffered = members.loc[members["partition"] == OUTLIER_PARTITION, "chunk"]
+        for cid in sorted(set(buffered)):
             if self.chunks[cid].outlier_count > self.tau:
                 self._recluster_outliers(cid)
                 stats["reclustered_chunks"] += 1
@@ -394,22 +398,6 @@ def _empty_members() -> pd.DataFrame:
     return pdf
 
 
-def _explode(
-    rows: pd.DataFrame, lo: float = -np.inf, hi: float = np.inf
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the ts/xs/ys polylines of ``rows`` into point arrays, in
-    row order, keeping the points with ``lo <= t <= hi``.
-
-    Returns ``(row, ts, xs, ys)``: ``row`` is the position in ``rows`` of
-    each point's row.
-    """
-    n = np.array([len(a) for a in rows["ts"]], dtype=np.int64)
-    row = np.repeat(np.arange(len(rows)), n)
-    ts, xs, ys = (np.concatenate([np.empty(0), *rows[c]]) for c in ("ts", "xs", "ys"))
-    keep = (ts >= lo) & (ts <= hi)
-    return row[keep], ts[keep], xs[keep], ys[keep]
-
-
 def _members_to_points(
     members: pd.DataFrame, lo: float = -np.inf, hi: float = np.inf
 ) -> tuple[pd.DataFrame, np.ndarray]:
@@ -425,7 +413,7 @@ def _members_to_points(
     traj-id array, which callers MUST apply to any traj_id column derived
     from the S2T result (see :func:`_run_s2t`).
     """
-    row, ts, xs, ys = _explode(members, lo, hi)
+    row, ts, xs, ys = explode_polylines(members, lo, hi)
     keep = np.bincount(row, minlength=len(members))[row] >= 2
     traj = members["traj_id"].to_numpy(dtype=np.int64)
     pdf = pd.DataFrame({"obj_id": traj[row[keep]], "traj_id": row[keep],

@@ -21,7 +21,8 @@ from repro.baselines.traclus import (
     segment_distance,
     traclus,
 )
-from repro.mod.model import collect_polylines, make_points_df
+from repro.core.distance import sync_distance
+from repro.mod.model import make_points_df, split_polylines
 
 
 # ------------------------------------------------------------------ DBSCAN
@@ -111,11 +112,19 @@ def test_traclus_labels_cover_points(spark, mod_points):
 
 
 # ---------------------------------------------------------------- T-OPTICS
-def test_distance_matrix_symmetric_zero_diag(spark, mod_points):
-    polys = collect_polylines(mod_points)
-    m = trajectory_distance_matrix(polys.head(8))
-    assert np.allclose(m, m.T)
-    assert np.allclose(np.diag(m), 0.0)
+def test_distance_matrix_symmetric_zero_diag(mod_pdf):
+    """Entry (i, j) is the pair's ``sync_distance``, with no overlap at
+    the finite stand-in; the matrix is exactly symmetric, zero on the
+    diagonal."""
+    polys = split_polylines(mod_pdf, ["traj_id"]).head(8)
+    m = trajectory_distance_matrix(polys)
+    np.testing.assert_array_equal(m, m.T)
+    assert (np.diag(m) == 0.0).all()
+    arrs = list(zip(polys["ts"], polys["xs"], polys["ys"]))
+    for i in range(len(arrs)):
+        for j in range(i + 1, len(arrs)):
+            d = sync_distance(*arrs[i], *arrs[j])
+            assert m[i, j] == (d if np.isfinite(d) else 1e9)
 
 
 def test_optics_orders_all_points():

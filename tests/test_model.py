@@ -8,9 +8,10 @@ import pytest
 
 from repro.mod.model import (
     SEGMENT_COLS,
-    collect_polylines,
+    explode_polylines,
     make_points_df,
     points_to_segments,
+    split_polylines,
     temporal_range,
 )
 from repro.oracle import assert_equivalent
@@ -70,16 +71,35 @@ def test_temporal_range_empty_window(mod_points):
     assert temporal_range(mod_points, -100.0, -50.0).count() == 0
 
 
-def test_collect_polylines_sorted_and_complete(mod_points, mod_pdf):
-    polys = collect_polylines(mod_points)
-    assert len(polys) == mod_pdf["traj_id"].nunique()
+def test_split_polylines_sorted_and_complete(mod_pdf):
+    """One row per trajectory in traj_id order, samples sorted by t; the
+    exploded rows give back every point, sorted by (traj_id, t)."""
+    polys = split_polylines(mod_pdf.sample(frac=1.0, random_state=0), ["traj_id"])
+    assert polys["traj_id"].tolist() == sorted(mod_pdf["traj_id"].unique())
     for _, row in polys.iterrows():
         assert (np.diff(row["ts"]) > 0).all()
-        exp = mod_pdf[mod_pdf.traj_id == row["traj_id"]]
-        assert len(row["ts"]) == len(exp)
-        np.testing.assert_allclose(
-            np.sort(row["xs"]), np.sort(exp["x"].to_numpy()), rtol=1e-12
-        )
+        assert all(isinstance(row[c], np.ndarray) and row[c].dtype == np.float64
+                   for c in ("ts", "xs", "ys"))
+    row, ts, xs, ys = explode_polylines(polys)
+    pts = mod_pdf.sort_values(["traj_id", "t"], ignore_index=True)
+    np.testing.assert_array_equal(polys["traj_id"].to_numpy()[row], pts["traj_id"])
+    for got, c in ((ts, "t"), (xs, "x"), (ys, "y")):
+        np.testing.assert_array_equal(got, pts[c].to_numpy(dtype=np.float64))
+
+
+def test_split_polylines_orders_duplicate_stamps_and_keys():
+    """Samples sharing a stamp are ordered by (x, y); every distinct key
+    tuple is one row, a one-point one too; no points give no rows."""
+    pdf = pd.DataFrame({"traj_id": [2, 1, 1, 1, 1, 2], "chunk": [0, 1, 0, 0, 0, 0],
+                        "t": [5.0, 9.0, 3.0, 3.0, 0.0, 4.0],
+                        "x": [0.0, 0.0, 2.0, 1.0, 0.0, 0.0], "y": [0.0, 0.0, 0.0, 7.0, 0.0, 0.0]})
+    got = split_polylines(pdf, ["traj_id", "chunk"])
+    assert list(got.columns) == ["traj_id", "chunk", "ts", "xs", "ys"]
+    assert list(zip(got["traj_id"], got["chunk"])) == [(1, 0), (1, 1), (2, 0)]
+    assert [a.tolist() for a in got["ts"]] == [[0.0, 3.0, 3.0], [9.0], [4.0, 5.0]]
+    assert [a.tolist() for a in got["xs"]] == [[0.0, 1.0, 2.0], [0.0], [0.0, 0.0]]
+    assert [a.tolist() for a in got["ys"]] == [[0.0, 7.0, 0.0], [0.0], [0.0, 0.0]]
+    assert len(split_polylines(pdf.iloc[:0], ["traj_id"])) == 0
 
 
 def test_make_points_df_dtypes(spark):

@@ -2,6 +2,7 @@
 QuT-Clustering answer parity with the from-scratch baseline."""
 from __future__ import annotations
 
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_members_conservation(retratree, mod_pdf):
 
 
 # ------------------------------------------------------------------ insert
-def _co_moving_batch(spark, n_trajs, t0, base_id=10_000, x0=200.0):
+def _co_moving_pdf(n_trajs, t0, base_id=10_000, x0=200.0) -> pd.DataFrame:
     """A bundle of co-moving trajectories placed far from the MOD."""
     rows = []
     for k in range(n_trajs):
@@ -90,7 +91,12 @@ def _co_moving_batch(spark, n_trajs, t0, base_id=10_000, x0=200.0):
                 }
             )
         )
-    return make_points_df(spark, pd.concat(rows, ignore_index=True))
+    return pd.concat(rows, ignore_index=True)
+
+
+def _co_moving_batch(spark, n_trajs, t0, base_id=10_000, x0=200.0):
+    """:func:`_co_moving_pdf` as a Spark frame."""
+    return make_points_df(spark, _co_moving_pdf(n_trajs, t0, base_id, x0))
 
 
 def test_insert_outlier_path_then_recluster(spark, tmp_path):
@@ -236,6 +242,75 @@ def test_insert_short_piece_ignored(spark, tmp_path):
     )
     stats = tree.insert(single)
     assert stats == {"assigned": 0, "outliers": 0, "reclustered_chunks": 0}
+
+
+@st.composite
+def _insert_batches(draw) -> pd.DataFrame:
+    """New trajectories over ``[-60, 400)`` s, near the bundle of
+    :func:`_co_moving_batch` or far from it, so pieces span chunks of
+    width 200 s, land on a representative or in the outliers, and some
+    hold one point; optionally with duplicate timestamps (other x/y);
+    rows shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for k in range(draw(st.integers(1, 6))):
+        n = int(rng.integers(1, 16))
+        t = float(rng.integers(-6, 30)) * 10.0 + rng.choice([10.0, 20.0, 45.0]) * np.arange(n)
+        x0 = rng.choice([0.0, 200.0]) + rng.normal(0.0, 0.2)
+        frames.append(pd.DataFrame({"traj_id": 1000 + k, "t": t,
+                                    "x": x0 + 0.05 * t, "y": 50.0 + rng.normal(0.0, 0.1, n)}))
+    pdf = pd.concat(frames, ignore_index=True)
+    if draw(st.booleans()):
+        extra = pdf.sample(n=max(1, len(pdf) // 4), random_state=rng.integers(1 << 31))
+        pdf = pd.concat([pdf, extra.assign(x=extra["x"] + 0.3, y=extra["y"] - 0.2)])
+    pdf = pdf.sample(frac=1.0, random_state=rng.integers(1 << 31)).reset_index(drop=True)
+    return pdf.assign(obj_id=pdf["traj_id"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_insert_batches())
+def test_property_insert_appends_each_piece_once_after_the_built_rows(batch):
+    """Each ``(traj_id, chunk)`` piece of two or more points becomes one
+    member row holding its points, appended after its partition's built
+    rows in ``(traj_id, chunk)`` order; one-point pieces are dropped; the
+    counters agree with the stored partitions."""
+    base = _co_moving_pdf(3, t0=0.0, base_id=0, x0=0.0)
+    with tempfile.TemporaryDirectory() as root:
+        tree = ReTraTree.build(None, base, root, TEST_PARAMS, chunk_width=200.0, tau=10**6)
+        store = tree.store
+
+        def partitions():
+            return {(cid, name): store.read(cid, name)
+                    for cid in sorted(tree.chunks) for name in store.list_partitions(cid)}
+
+        built = partitions()
+        stats = tree.insert(batch)
+        after = partitions()
+
+        chunk = np.floor(batch["t"] / tree.chunk_width).astype(np.int64)
+        pieces = {(tid, cid): sorted(zip(g["t"], g["x"], g["y"]))
+                  for (tid, cid), g in batch.groupby([batch["traj_id"], chunk])}
+        pieces = {k: v for k, v in pieces.items() if len(v) >= 2}
+        assert stats["reclustered_chunks"] == 0
+        assert stats["assigned"] + stats["outliers"] == len(pieces)
+
+        seen = []
+        for (cid, name), rows in after.items():
+            old = built.get((cid, name), rows.iloc[:0])
+            pd.testing.assert_frame_equal(rows.iloc[:len(old)], old, check_exact=True)
+            new = rows.iloc[len(old):]
+            assert new["traj_id"].is_monotonic_increasing and new["traj_id"].is_unique
+            for _, r in new.iterrows():
+                assert (np.diff(r["ts"]) >= 0).all()
+                assert sorted(zip(r["ts"], r["xs"], r["ys"])) == pieces[(r["traj_id"], cid)]
+                assert (r["subtraj_id"], r["sum_vote"]) == (0, 0.0)
+                assert (r["t_start"], r["t_end"]) == (r["ts"][0], r["ts"][-1])
+                seen.append((r["traj_id"], cid))
+        assert sorted(seen) == sorted(pieces)
+
+        for cid, c in tree.chunks.items():
+            assert all(r.n_members == len(after[(cid, r.partition)]) for r in c.reps)
+            assert c.outlier_count == len(after.get((cid, OUTLIER_PARTITION), ()))
 
 
 # --------------------------------------------------------------------- QuT

@@ -7,10 +7,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from pyspark.sql import functions as F
+
 from repro import synth_data
+from repro.core.clustering import OUTLIER
 from repro.core.s2t import S2TParams, point_labels, s2t_clustering
 from repro.eval.quality import evaluate_point_labels
 from repro.mod.model import make_points_df
+from tests.conftest import TEST_PARAMS
 
 
 def _metrics(spark, sf, seed, **gen_overrides):
@@ -61,6 +65,62 @@ def test_point_labels_complete(mod_points, s2t_result):
     lab = point_labels(mod_points, s2t_result)
     assert lab.count() == mod_points.count()
     assert lab.where("cluster_id IS NULL").count() == 0
+
+
+def _relational_point_labels(points, result):
+    """The relational plan that ``point_labels`` replaced, kept as its
+    reference: the Spark sub-trajectory rows exploded to points, the
+    largest ``subtraj_id`` per ``(traj_id, t)``, then left joins to the
+    points and to ``clusters``."""
+    point_sub = (
+        result.subtrajs.select("traj_id", "subtraj_id", F.explode("ts").alias("t"))
+        .groupBy("traj_id", "t")
+        .agg(F.max("subtraj_id").alias("subtraj_id"))
+    )
+    clusters = points.sparkSession.createDataFrame(
+        result.clusters[["traj_id", "subtraj_id", "cluster_id"]],
+        schema="traj_id long, subtraj_id long, cluster_id long",
+    )
+    out = points.join(point_sub, ["traj_id", "t"], "left").join(
+        clusters, ["traj_id", "subtraj_id"], "left"
+    )
+    return out.withColumn("cluster_id", F.coalesce(F.col("cluster_id"), F.lit(OUTLIER)))
+
+
+def _with_one_point_trajectories(pdf):
+    lone = pdf.groupby("traj_id").head(1).iloc[:3]
+    ids = pdf["traj_id"].max() + 1 + np.arange(len(lone))
+    return pd.concat([pdf, lone.assign(obj_id=ids, traj_id=ids)], ignore_index=True)
+
+
+def _with_duplicate_stamps(pdf):
+    extra = pdf.iloc[::9]
+    return pd.concat([pdf, extra.assign(x=extra["x"] + 0.3, y=extra["y"] - 0.2)],
+                     ignore_index=True)
+
+
+@pytest.mark.parametrize("variant", [None, _with_one_point_trajectories, _with_duplicate_stamps],
+                         ids=["tier1", "one_point_trajectories", "duplicate_stamps"])
+def test_point_labels_equal_the_relational_plan(spark, mod_points, mod_pdf, s2t_result, variant):
+    """Every column, compared by name, equals the relational plan's on
+    the tier-1 MOD and on it with one-point trajectories or duplicate
+    timestamps added."""
+    pts, res = mod_points, s2t_result
+    if variant is not None:
+        pts = make_points_df(spark, variant(mod_pdf))
+        res = s2t_clustering(pts, TEST_PARAMS)
+    try:
+        got = point_labels(pts, res).toPandas()
+        want = _relational_point_labels(pts, res).toPandas()
+    finally:
+        if variant is not None:
+            res.unpersist()
+    assert sorted(got.columns) == sorted(want.columns)
+    cols, key = sorted(got.columns), ["traj_id", "t", "x", "y", "obj_id"]
+    got = got[cols].sort_values(key, ignore_index=True)
+    want = want[cols].sort_values(key, ignore_index=True)
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+    assert len(got) == pts.count() and (got["cluster_id"] >= 0).any()
 
 
 def test_reps_are_members_of_their_clusters(s2t_result):

@@ -38,8 +38,7 @@ def assert_same_run(local, dist) -> None:
     pd.testing.assert_frame_equal(ls[cols], ds[cols])
     for c in ("ts", "xs", "ys"):
         assert all(np.array_equal(a, b) for a, b in zip(ls[c], ds[c])), c
-    for c in ("sum_vote", "mean_vote"):
-        np.testing.assert_allclose(ls[c], ds[c], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(ls["sum_vote"], ds["sum_vote"], rtol=0, atol=1e-9)
 
     assert [(r.traj_id, r.subtraj_id) for r in local.reps] == [
         (r.traj_id, r.subtraj_id) for r in dist.reps]
@@ -67,27 +66,26 @@ def test_engines_agree_on_tier1_mod(spark, mod_pdf):
 def test_engines_agree_when_trajectories_span_arrow_batches(spark, mod_pdf):
     """The Spark engine's per-partition kernels see whole trajectories
     even when a trajectory's rows arrive in several Arrow batches and
-    some partitions hold none: 16-row batches, twice as many shuffle
-    partitions as trajectories, and no adaptive coalescing of them."""
-    conf = {
-        "spark.sql.execution.arrow.maxRecordsPerBatch": "16",
-        "spark.sql.shuffle.partitions": str(2 * mod_pdf["traj_id"].nunique()),
-        "spark.sql.adaptive.coalescePartitions.enabled": "false",
-    }
-    saved = {k: spark.conf.get(k) for k in conf}
+    some partitions hold none: 16-row batches, over the tier-1 MOD and
+    over two of its trajectories, fewer than the session's cores."""
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    saved = spark.conf.get(key)
+    two = mod_pdf[mod_pdf["traj_id"].isin(mod_pdf["traj_id"].unique()[:2])]
+    width = spark.sparkContext.defaultParallelism
+    sizes = []
     try:
-        for k, v in conf.items():
-            spark.conf.set(k, v)
-        sizes = make_points_df(spark, mod_pdf).repartition("traj_id").rdd.glom().map(len).collect()
-        assert min(sizes) == 0 and max(sizes) > 16
-        local, dist = _both(spark, mod_pdf, TEST_PARAMS)
-        try:
-            assert_same_run(local, dist)
-        finally:
-            dist.unpersist()
+        spark.conf.set(key, "16")
+        for pdf in (mod_pdf, two):
+            pts = make_points_df(spark, pdf).repartition(width, "traj_id")
+            sizes += pts.rdd.glom().map(len).collect()
+            local, dist = _both(spark, pdf, TEST_PARAMS)
+            try:
+                assert_same_run(local, dist)
+            finally:
+                dist.unpersist()
     finally:
-        for k, v in saved.items():
-            spark.conf.set(k, v)
+        spark.conf.set(key, saved)
+    assert min(sizes) == 0 and max(sizes) > 16
 
 
 @st.composite
