@@ -1,8 +1,9 @@
 """Micro-benchmarks of the substrate hot paths: pg3D-Rtree bulk load,
 single and batched query, the closed-form voting kernel, the
 time-synchronized distance — the per-task inner loops whose cost
-Table A/B aggregate — in-process NaTS segmentation of a whole MOD, and
-an in-process QuT that re-clusters two boundary slices."""
+Table A/B aggregate — in-process NaTS segmentation of a whole MOD, an
+in-process QuT that re-clusters two boundary slices, and the cost of one
+empty trace span."""
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core.voting import vote_segments
 from repro.index.rtree3d import Rtree3D
 from repro.mod.model import points_to_segments
 from repro.retratree.tree import ReTraTree
+from repro.trace import span
 
 
 def _boxes(n, seed=0):
@@ -115,3 +117,17 @@ def test_bench_qut_boundary_inproc(benchmark, tmp_path):
 
     q = benchmark(lambda: tree.qut(0.5 * width, 1.5 * width))
     assert (q.n_full, q.n_partial, len(q.rows)) == (0, 2, 188)
+
+
+@pytest.mark.benchmark(group="micro-trace")
+def test_bench_span_overhead_100k(benchmark):
+    """100k empty spans, each nested in one open span: the mean divided by
+    100k is the cost one span adds to a traced run."""
+    def run():
+        with span("root") as root:
+            for _ in range(100_000):
+                with span("empty"):
+                    pass
+        return root
+
+    assert len(benchmark(run).children) == 100_000

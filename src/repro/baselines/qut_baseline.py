@@ -5,16 +5,15 @@ that consists of (i) extracting the relevant records using a temporal
 range query, (ii) creating an R-tree index on the result of the query,
 and (iii) applying clustering (S2T-Clustering, in our case)."
 
-This module is exactly that pipeline, instrumented per step so Table A
-can attribute the cost.  Step (ii) builds a pg3D-Rtree over the window's
-segment boxes — the index S2T's voting would use in Hermes; our Spark
-voting builds its per-bucket indexes inside the job, so this up-front
-build is timed (it is part of the baseline's bill, as in the paper) and
-its tree is reported but not reused.
+This module is exactly that pipeline, one span per step (``repro.trace``)
+so Table A can attribute the cost.  Step (ii) builds a pg3D-Rtree over
+the window's segment boxes — the index S2T's voting would use in Hermes;
+our Spark voting builds its per-bucket indexes inside the job, so this
+up-front build is timed (it is part of the baseline's bill, as in the
+paper) and its tree is reported but not reused.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +23,26 @@ from pyspark.sql import DataFrame
 from repro.core.s2t import S2TParams, S2TResult, s2t_clustering, point_labels
 from repro.index.rtree3d import Rtree3D, segment_boxes
 from repro.mod.model import SEGMENT_COLS, points_to_segments, temporal_range
+from repro.trace import Span, count, span
 
 
 @dataclass
 class BaselineResult:
-    """Outcome + per-step timings of the rebuild-from-scratch pipeline."""
+    """Outcome + per-step trace of the rebuild-from-scratch pipeline: the
+    ``qut_baseline`` span holds ``range_query``, ``index_build`` and S2T's
+    ``s2t`` span (labelling is not billed); ``timings`` reads them, with
+    S2T's phases as ``s2t_<phase>``, and ``total``, their billed sum."""
 
     s2t: S2TResult
     labels: pd.DataFrame          # traj_id, t, cluster_id (ints, -1 outlier)
-    timings: dict[str, float]
+    trace: Span
     rtree_nodes: int
+
+    @property
+    def timings(self) -> dict[str, float]:
+        steps = {c.name: c.seconds for c in self.trace.children if c.name != "s2t"}
+        s2t = self.s2t.trace.timings("s2t_")
+        return {**steps, **s2t, "total": sum(steps.values()) + s2t["s2t_total"]}
 
 
 def qut_baseline(
@@ -41,21 +50,14 @@ def qut_baseline(
 ) -> BaselineResult:
     """Range query -> R-tree build -> S2T from scratch on [wi, we]."""
     p = params or S2TParams()
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    wpts = temporal_range(points, wi, we).cache()
-    wpts.count()
-    timings["range_query"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    seg_pdf = points_to_segments(wpts).select(*SEGMENT_COLS[2:]).toPandas()
-    tree = Rtree3D.bulk_load(segment_boxes(seg_pdf.to_numpy(dtype=np.float64)))
-    timings["index_build"] = time.perf_counter() - t0
-
-    res = s2t_clustering(wpts, p)
-    for k, v in res.timings.items():
-        timings[f"s2t_{k}"] = v
+    with span("qut_baseline") as trace:
+        with span("range_query"):
+            wpts = temporal_range(points, wi, we).cache()
+            count("rows", wpts.count())
+        with span("index_build"):
+            seg_pdf = points_to_segments(wpts).select(*SEGMENT_COLS[2:]).toPandas()
+            tree = Rtree3D.bulk_load(segment_boxes(seg_pdf.to_numpy(dtype=np.float64)))
+        res = s2t_clustering(wpts, p)
 
     labels = (
         point_labels(wpts, res)
@@ -63,10 +65,7 @@ def qut_baseline(
         .toPandas()
         .astype({"traj_id": "int64", "t": "float64", "cluster_id": "int64"})
     )
-    timings["total"] = (
-        timings["range_query"] + timings["index_build"] + res.timings["total"]
-    )
     wpts.unpersist()
     return BaselineResult(
-        s2t=res, labels=labels, timings=timings, rtree_nodes=tree.node_count()
+        s2t=res, labels=labels, trace=trace, rtree_nodes=tree.node_count()
     )

@@ -11,7 +11,8 @@ sub-trajectory table, with one distance matrix, for either engine.
 :func:`s2t_clustering` orchestrates the phases over a points frame and
 returns everything downstream consumers need: votes, sub-trajectories
 (as a frame and as the driver-side table sampling ran on),
-representatives, cluster assignment and the timing breakdown.  The input
+representatives, cluster assignment and the run's trace, whose phase
+spans give the timing breakdown (:class:`S2TResult`).  The input
 type picks the engine of the NaTS phase; both run the same kernels:
 
 - a Spark DataFrame runs it as Spark jobs (``applyInPandas`` per voting
@@ -29,8 +30,7 @@ type picks the engine of the NaTS phase; both run the same kernels:
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -42,6 +42,7 @@ from repro.core.segmentation import segment_trajectories
 from repro.core.subtraj import subtrajs_to_pandas
 from repro.core.voting import vote_segments
 from repro.mod.model import explode_polylines, points_to_segments
+from repro.trace import Span, count, span
 
 
 @dataclass
@@ -93,8 +94,10 @@ class S2TResult:
     on the in-process engine it is the ``subtrajs`` frame); ``reps`` —
     the sampled representatives; ``clusters`` — pandas (traj_id,
     subtraj_id, cluster_id, dist) in ``sub_pdf``'s row order;
-    ``timings`` — seconds per phase (``prepare``, ``voting``,
-    ``segmentation``, ``sampling``, ``clustering``) and ``total``.
+    ``trace`` — the run's ``s2t`` span (``repro.trace``), one child per
+    phase, each counting the ``rows`` it made (``segments``, ``voted``,
+    ``subtrajs``, ``sub_pdf`` plus the ``reps`` picked, ``clusters``);
+    ``timings`` — seconds per phase and ``total``, their sum, from ``trace``.
     """
 
     segments: DataFrame | pd.DataFrame
@@ -103,7 +106,11 @@ class S2TResult:
     sub_pdf: pd.DataFrame
     reps: list[Representative]
     clusters: pd.DataFrame
-    timings: dict[str, float] = field(default_factory=dict)
+    trace: Span
+
+    @property
+    def timings(self) -> dict[str, float]:
+        return self.trace.timings()
 
     def unpersist(self) -> None:
         for df in (self.segments, self.voted, self.subtrajs):
@@ -112,10 +119,13 @@ class S2TResult:
 
 
 def _materialise(df: DataFrame | pd.DataFrame) -> DataFrame | pd.DataFrame:
-    """Cache and force a Spark DataFrame; a pandas frame already is."""
+    """Cache and force a Spark DataFrame (a pandas frame already is), and
+    count its ``rows`` into the open phase span."""
     if isinstance(df, DataFrame):
         df = df.cache()
-        df.count()
+        count("rows", df.count())
+    else:
+        count("rows", len(df))
     return df
 
 
@@ -126,43 +136,31 @@ def s2t_clustering(
     jobs for a Spark DataFrame, in the driver process for a pandas frame
     (columns ``traj_id``, ``t``, ``x``, ``y``)."""
     p = params or S2TParams()
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    segments = _materialise(points_to_segments(points))
-    timings["prepare"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    voted = _materialise(vote_segments(
-        segments, sigma=p.sigma, cutoff=p.cutoff, bucket_width=p.bucket_width
-    ))
-    timings["voting"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    subtrajs = _materialise(segment_trajectories(
-        voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap
-    ))
-    timings["segmentation"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sub_pdf = subtrajs_to_pandas(subtrajs)
-    reps, dist = sample_representatives(
-        sub_pdf,
-        eps=p.eps_eff,
-        max_reps=p.max_reps,
-        min_gain=p.min_gain,
-        min_duration=p.min_duration,
-        n_samples=p.n_samples,
-        min_overlap=p.min_overlap,
-    )
-    timings["sampling"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    clusters = assign_clusters(
-        sub_pdf, dist, eps=p.eps_eff, min_cluster_size=p.min_cluster_size
-    )
-    timings["clustering"] = time.perf_counter() - t0
-    timings["total"] = sum(timings.values())
+    with span("s2t") as trace:
+        with span("prepare"):
+            segments = _materialise(points_to_segments(points))
+        with span("voting"):
+            voted = _materialise(vote_segments(
+                segments, sigma=p.sigma, cutoff=p.cutoff, bucket_width=p.bucket_width
+            ))
+        with span("segmentation"):
+            subtrajs = _materialise(segment_trajectories(
+                voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap
+            ))
+        with span("sampling"):
+            sub_pdf = subtrajs_to_pandas(subtrajs)
+            reps, dist = sample_representatives(
+                sub_pdf, eps=p.eps_eff, max_reps=p.max_reps, min_gain=p.min_gain,
+                min_duration=p.min_duration, n_samples=p.n_samples,
+                min_overlap=p.min_overlap,
+            )
+            count("rows", len(sub_pdf))
+            count("reps", len(reps))
+        with span("clustering"):
+            clusters = assign_clusters(
+                sub_pdf, dist, eps=p.eps_eff, min_cluster_size=p.min_cluster_size
+            )
+            count("rows", len(clusters))
 
     return S2TResult(
         segments=segments,
@@ -171,7 +169,7 @@ def s2t_clustering(
         sub_pdf=sub_pdf,
         reps=reps,
         clusters=clusters,
-        timings=timings,
+        trace=trace,
     )
 
 

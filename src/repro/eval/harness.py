@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import time
 
 import numpy as np
 import pandas as pd
@@ -26,6 +25,7 @@ from repro.eval.quality import adjusted_rand_index, evaluate_point_labels
 from repro.mod.generator import MODConfig, generate_mod
 from repro.mod.model import make_points_df, points_to_segments, temporal_range
 from repro.retratree.tree import ReTraTree
+from repro.trace import Span, span
 
 #: Default S2T parameters for all tables (sigma in km; see DESIGN.md).
 DEFAULT_PARAMS = S2TParams(sigma=1.0)
@@ -69,13 +69,13 @@ def run_table_a(
     p = params or DEFAULT_PARAMS
     pts = synth_data.trajectories(spark, sf=sf, seed=seed).cache()
     t_min, t_max = pts.selectExpr("min(t)", "max(t)").first()
-    span = t_max - t_min
-    chunk_width = float(np.ceil(span / n_chunks / 100.0) * 100.0)
+    extent = t_max - t_min
+    chunk_width = float(np.ceil(extent / n_chunks / 100.0) * 100.0)
     root = workdir or tempfile.mkdtemp(prefix="retratree-")
     shutil.rmtree(root, ignore_errors=True)
-    t0 = time.perf_counter()
-    tree = ReTraTree.build(spark, pts, root, p, chunk_width=chunk_width)
-    build_s = time.perf_counter() - t0
+    with span("table_a_build") as build:
+        tree = ReTraTree.build(spark, pts, root, p, chunk_width=chunk_width)
+    build_s = build.seconds
 
     cids = sorted(tree.chunks)
     tree_lo = tree.chunks[cids[0]].t_lo
@@ -97,9 +97,9 @@ def run_table_a(
     for frac, wi, we, aligned in windows:
         qr = tree.qut(wi, we)
         br = qut_baseline(pts, wi, we, p)
-        t0 = time.perf_counter()
-        s2t_clustering(temporal_range(pts, wi, we).toPandas(), p)
-        inproc_s = br.timings["index_build"] + time.perf_counter() - t0
+        with span("baseline_inproc") as inproc:
+            s2t_clustering(temporal_range(pts, wi, we).toPandas(), p)
+        inproc_s = br.timings["index_build"] + inproc.seconds
         ql = qr.point_labels()
         m = ql.merge(br.labels, on=["traj_id", "t"], suffixes=("_q", "_b"))
         ari = (
@@ -162,14 +162,11 @@ def run_table_b(
         pts = make_points_df(spark, generate_mod(cfg)).cache()
         seg = points_to_segments(pts).cache()
         n_seg = seg.count()
-        t0 = time.perf_counter()
-        vi = vote_segments(seg, sigma=p.sigma, bucket_width=p.bucket_width)
-        vi_pdf = vi.toPandas()
-        indexed_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        vn = vote_segments_naive(seg, sigma=p.sigma)
-        vn_pdf = vn.toPandas()
-        naive_s = time.perf_counter() - t0
+        with span("indexed") as indexed:
+            vi_pdf = vote_segments(seg, sigma=p.sigma, bucket_width=p.bucket_width).toPandas()
+        with span("naive") as naive:
+            vn_pdf = vote_segments_naive(seg, sigma=p.sigma).toPandas()
+        indexed_s, naive_s = indexed.seconds, naive.seconds
         key = ["traj_id", "seg_id"]
         diff = (
             vi_pdf.sort_values(key)["vote"].to_numpy()
@@ -200,7 +197,8 @@ def run_table_c(
     seed: int = 0,
     params: S2TParams | None = None,
 ) -> pd.DataFrame:
-    """S2T scalability: per-phase wall time as the MOD grows."""
+    """S2T scalability: per-phase wall time as the MOD grows; the phase
+    columns, ``prepare_s`` (points to segments) included, sum to ``total_s``."""
     p = params or DEFAULT_PARAMS
     rows = []
     for sf in sfs:
@@ -213,11 +211,7 @@ def run_table_c(
                 "n_points": n_pts,
                 "n_subtrajs": res.subtrajs.count(),
                 "n_reps": len(res.reps),
-                "voting_s": res.timings["voting"],
-                "segmentation_s": res.timings["segmentation"],
-                "sampling_s": res.timings["sampling"],
-                "clustering_s": res.timings["clustering"],
-                "total_s": res.timings["total"],
+                **{f"{k}_s": v for k, v in res.timings.items()},
             }
         )
         res.unpersist()
@@ -245,38 +239,38 @@ def run_table_d(
     gt = pts.select("traj_id", "t", "gt_label").toPandas()
     rows = []
 
-    def score(name: str, labels: pd.DataFrame, runtime: float) -> None:
+    def score(run: Span, labels: pd.DataFrame) -> None:
         m = gt.merge(labels, on=["traj_id", "t"], how="inner")
         met = evaluate_point_labels(m)
         rows.append(
             {
-                "method": name,
+                "method": run.name,
                 "ari_clustered": met["ari_clustered"],
                 "ari_all": met["ari_all"],
                 "purity": met["purity"],
                 "outlier_f1": met["outlier_f1"],
                 "n_clusters": met["n_clusters"],
-                "runtime_s": runtime,
+                "runtime_s": run.seconds,
             }
         )
 
-    t0 = time.perf_counter()
-    res = s2t_clustering(pts, p)
-    lab = point_labels(pts, res).select("traj_id", "t", "cluster_id").toPandas()
-    score("S2T-Clustering", lab, time.perf_counter() - t0)
+    with span("S2T-Clustering") as run:
+        res = s2t_clustering(pts, p)
+        lab = point_labels(pts, res).select("traj_id", "t", "cluster_id").toPandas()
+    score(run, lab)
     res.unpersist()
 
-    t0 = time.perf_counter()
-    tr = traclus(pts, eps=1.0, min_lns=3)  # its best setting on this MOD (see EXPERIMENTS.md)
-    score("TRACLUS", tr.point_labels, time.perf_counter() - t0)
+    with span("TRACLUS") as run:
+        tr = traclus(pts, eps=1.0, min_lns=3)  # its best setting on this MOD (see EXPERIMENTS.md)
+    score(run, tr.point_labels)
 
-    t0 = time.perf_counter()
-    to = t_optics(pts, min_pts=3, xi_eps=3.0)
-    score("T-OPTICS", to.point_labels, time.perf_counter() - t0)
+    with span("T-OPTICS") as run:
+        to = t_optics(pts, min_pts=3, xi_eps=3.0)
+    score(run, to.point_labels)
 
-    t0 = time.perf_counter()
-    cv = discover_convoys(pts, eps=1.0, min_objs=3, min_snaps=5, dt_snap=60.0)
-    score("Convoys", cv.point_labels, time.perf_counter() - t0)
+    with span("Convoys") as run:
+        cv = discover_convoys(pts, eps=1.0, min_objs=3, min_snaps=5, dt_snap=60.0)
+    score(run, cv.point_labels)
 
     pts.unpersist()
     df = pd.DataFrame(rows)

@@ -14,6 +14,8 @@ loads it over the members' 3D bounding boxes on demand.
 Partition contents are small (one representative's members within one
 temporal chunk), so pandas-level IO is the faithful cost model — in
 Hermes these are single-relation scans inside the DBMS process.
+Reads and writes count partitions and rows (``partitions_read``, ``rows_read``,
+``partitions_written``, ``rows_written``) into the open span (``repro.trace``).
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import numpy as np
 import pandas as pd
 
 from repro.index.rtree3d import Rtree3D
+from repro.trace import count
 
 #: Canonical member-row columns stored in every partition.
 MEMBER_COLS = [
@@ -66,6 +69,8 @@ class PartitionStore:
         d.mkdir(parents=True, exist_ok=True)
         members = members[MEMBER_COLS].reset_index(drop=True)
         members.to_parquet(d / "data.parquet", engine="pyarrow", index=False)
+        count("partitions_written")
+        count("rows_written", len(members))
         return self._meta(chunk_id, name, members)
 
     def append(self, chunk_id: int, name: str, members: pd.DataFrame) -> PartitionMeta:
@@ -83,7 +88,10 @@ class PartitionStore:
     def read(self, chunk_id: int, name: str) -> pd.DataFrame:
         """The partition's rows; pyarrow returns each polyline as a
         float64 numpy array."""
-        return pd.read_parquet(self._dir(chunk_id, name) / "data.parquet", engine="pyarrow")
+        pdf = pd.read_parquet(self._dir(chunk_id, name) / "data.parquet", engine="pyarrow")
+        count("partitions_read")
+        count("rows_read", len(pdf))
+        return pdf
 
     def read_rtree(self, chunk_id: int, name: str) -> Rtree3D:
         """The partition's pg3D-Rtree, bulk-loaded from its rows; entry ids

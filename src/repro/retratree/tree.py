@@ -35,7 +35,10 @@ the residue stays outlier.
 W are answered by *reusing* their stored clusters (partition reads, no
 clustering); boundary chunks are re-clustered on just their clipped
 slice; clusters of adjacent regions are merged when their
-representatives are spatio-temporally continuous (QUT's ``d``).
+representatives are spatio-temporally continuous (QUT's ``d``).  Its
+:class:`QuTResult` keeps the ``qut`` span (``repro.trace``): per step the
+partitions and rows it read, and the boundary run's ``s2t`` span under
+``recluster``.  ``build`` and ``insert`` each open one span too.
 
 Which S2T engine runs where: every S2T run of the tree is in the driver
 process, on a pandas frame.  The bulk load collects the MOD's points once
@@ -48,7 +51,6 @@ rest).  The tree holds no Spark session.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +63,7 @@ from repro.core.s2t import S2TParams, s2t_clustering
 from repro.core.sampling import Representative
 from repro.mod.model import explode_polylines, split_polylines
 from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION, PartitionStore
+from repro.trace import Span, span
 
 OUTLIER_KEY = None  # cluster key of outlier rows in QuT results
 
@@ -103,14 +106,19 @@ class QuTResult:
 
     ``rows`` — pandas frame: traj_id, cluster (canonical merged key or
     None for outliers), ts/xs/ys polyline arrays (clipped to W);
-    ``timings`` — reuse / recluster / merge / total seconds;
+    ``trace`` — the ``qut`` span, children ``reuse``, ``recluster``, ``merge``;
+    ``timings`` — their seconds and ``total``, read from ``trace``;
     ``n_full`` / ``n_partial`` — chunks answered by reuse vs re-clustered.
     """
 
     rows: pd.DataFrame
-    timings: dict[str, float]
+    trace: Span
     n_full: int
     n_partial: int
+
+    @property
+    def timings(self) -> dict[str, float]:
+        return self.trace.timings()
 
     def point_labels(self) -> pd.DataFrame:
         """Explode polylines to per-point labels (traj_id, t, cluster_id
@@ -167,6 +175,7 @@ class ReTraTree:
 
     # ------------------------------------------------------------------ build
     @classmethod
+    @span("build")
     def build(
         cls,
         spark: SparkSession,
@@ -238,6 +247,7 @@ class ReTraTree:
         entry.outlier_count = len(outl)
 
     # ----------------------------------------------------------------- insert
+    @span("insert")
     def insert(self, points: DataFrame | pd.DataFrame) -> dict:
         """Incrementally insert new trajectories (Fig. 2's left-to-right
         flow).  Pieces, one per ``(traj_id, chunk)`` of two or more points
@@ -317,80 +327,68 @@ class ReTraTree:
             raise ValueError("window must satisfy wi < we")
         qparams = params or self.params  # boundary re-clustering knobs (SQL API overrides)
         d_merge = d_merge if d_merge is not None else qparams.eps_eff
-        timings: dict[str, float] = {}
-        regions: list[dict] = []  # {t_lo, t_hi, reps: {key: (ts,xs,ys)}, rows: pdf}
-
         full = [c for c in self.chunks.values() if c.t_lo >= wi and c.t_hi <= we]
-        partial = [
-            c for c in self.chunks.values()
-            if c.t_lo < we and c.t_hi > wi and c not in full
-        ]
+        partial = [c for c in self.chunks.values()
+                   if c.t_lo < we and c.t_hi > wi and c not in full]
+        # regions: {t_lo, t_hi, reps: {key: (ts,xs,ys)}, rows: pdf}
+        with span("qut") as trace:
+            with span("reuse"):
+                regions = [self._reuse_chunk(c) for c in sorted(full, key=lambda c: c.t_lo)]
+            with span("recluster"):
+                regions += self._recluster_boundary(partial, wi, we, qparams)
+            with span("merge"):
+                dsu = _merge_regions(regions, d_merge, 0.25 * self.chunk_width)
+                frames = [r["rows"] for r in regions if len(r["rows"])]
+                rows = pd.concat(frames, ignore_index=True) if frames else _empty_members()
+                rows["cluster"] = [dsu.find(c) if c is not None else None
+                                   for c in rows["cluster"]]
+        return QuTResult(rows=rows[["traj_id", "cluster", "ts", "xs", "ys"]], trace=trace,
+                         n_full=len(full), n_partial=len(partial))
 
-        t0 = time.perf_counter()
-        for c in sorted(full, key=lambda c: c.t_lo):
-            rows, reps = [], {}
-            for rep in c.reps:
-                mem = self.store.read(c.chunk_id, rep.partition)
-                mem["cluster"] = rep.key
-                rows.append(mem)
-                reps[rep.key] = (rep.ts, rep.xs, rep.ys)
-            if self.store.exists(c.chunk_id, OUTLIER_PARTITION):
-                mem = self.store.read(c.chunk_id, OUTLIER_PARTITION)
-                mem["cluster"] = OUTLIER_KEY
-                rows.append(mem)
-            pdf = pd.concat(rows, ignore_index=True) if rows else _empty_members()
-            regions.append({"t_lo": c.t_lo, "t_hi": c.t_hi, "reps": reps, "rows": pdf})
-        timings["reuse"] = time.perf_counter() - t0
+    def _reuse_chunk(self, c: ChunkEntry) -> dict:
+        """A chunk inside W: its stored clusters, read back."""
+        rows, reps = [], {}
+        for rep in c.reps:
+            mem = self.store.read(c.chunk_id, rep.partition)
+            mem["cluster"] = rep.key
+            rows.append(mem)
+            reps[rep.key] = (rep.ts, rep.xs, rep.ys)
+        if self.store.exists(c.chunk_id, OUTLIER_PARTITION):
+            mem = self.store.read(c.chunk_id, OUTLIER_PARTITION)
+            mem["cluster"] = OUTLIER_KEY
+            rows.append(mem)
+        pdf = pd.concat(rows, ignore_index=True) if rows else _empty_members()
+        return {"t_lo": c.t_lo, "t_hi": c.t_hi, "reps": reps, "rows": pdf}
 
-        # Boundary chunks are re-clustered in ONE combined S2T run: their
-        # slices are (at least) temporally disjoint or contiguous, so the
-        # combined run is semantically equivalent while paying the
-        # fixed per-job cost once.
-        t0 = time.perf_counter()
-        partial.sort(key=lambda c: c.t_lo)
+    def _recluster_boundary(
+        self, partial: list[ChunkEntry], wi: float, we: float, params: S2TParams
+    ) -> list[dict]:
+        """The chunks W cuts, re-clustered in ONE combined S2T run: their
+        slices are (at least) temporally disjoint or contiguous, so the
+        combined run is semantically equivalent while paying the fixed
+        per-run cost once."""
+        partial = sorted(partial, key=lambda c: c.t_lo)
         frames = [self.store.read(c.chunk_id, name)
                   for c in partial for name in self.store.list_partitions(c.chunk_id)]
         if frames:
             pts, id_map = _members_to_points(pd.concat(frames, ignore_index=True), wi, we)
-        if frames and len(pts):
-            members, live_reps = _run_s2t(pts, qparams, id_map)
-            members["cluster"] = [
-                f"b:rep-{int(k)}" if k >= 0 else OUTLIER_KEY
-                for k in members["cluster_id"]
-            ]
-            live = {f"b:rep-{r.rep_id}": r for r in live_reps}
-            # split rows/reps back into per-boundary regions (a rep lives
-            # in the region containing its polyline start); a region of
-            # no rows and no reps changes no merge
-            for c in partial:
-                lo, hi = max(c.t_lo, wi), min(c.t_hi, we)
-                mask = (members["t_start"] >= lo - 1e-9) & (members["t_start"] < hi)
-                reps = {
-                    key: (r.ts, r.xs, r.ys)
-                    for key, r in live.items()
-                    if lo - 1e-9 <= r.ts[0] < hi
-                }
-                regions.append(
-                    {"t_lo": lo, "t_hi": hi, "reps": reps,
-                     "rows": members[mask][MEMBER_COLS + ["cluster"]]}
-                )
-        timings["recluster"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        dsu = _merge_regions(regions, d_merge, 0.25 * self.chunk_width)
-        frames = [r["rows"] for r in regions if len(r["rows"])]
-        rows = pd.concat(frames, ignore_index=True) if frames else _empty_members()
-        rows["cluster"] = [
-            dsu.find(c) if c is not None else None for c in rows["cluster"]
-        ]
-        timings["merge"] = time.perf_counter() - t0
-        timings["total"] = sum(timings.values())
-        return QuTResult(
-            rows=rows[["traj_id", "cluster", "ts", "xs", "ys"]],
-            timings=timings,
-            n_full=len(full),
-            n_partial=len(partial),
-        )
+        if not (frames and len(pts)):
+            return []
+        members, live_reps = _run_s2t(pts, params, id_map)
+        members["cluster"] = [f"b:rep-{int(k)}" if k >= 0 else OUTLIER_KEY
+                              for k in members["cluster_id"]]
+        live = {f"b:rep-{r.rep_id}": r for r in live_reps}
+        # split rows/reps back into per-boundary regions (a rep lives
+        # in the region containing its polyline start); a region of
+        # no rows and no reps changes no merge
+        regions = []
+        for c in partial:
+            lo, hi = max(c.t_lo, wi), min(c.t_hi, we)
+            mask = (members["t_start"] >= lo - 1e-9) & (members["t_start"] < hi)
+            reps = {key: (r.ts, r.xs, r.ys) for key, r in live.items() if lo - 1e-9 <= r.ts[0] < hi}
+            regions.append({"t_lo": lo, "t_hi": hi, "reps": reps,
+                            "rows": members[mask][MEMBER_COLS + ["cluster"]]})
+        return regions
 
 
 def _empty_members() -> pd.DataFrame:

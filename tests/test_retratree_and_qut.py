@@ -18,6 +18,7 @@ from repro.mod.model import make_points_df
 from repro.retratree import tree as tree_mod
 from repro.retratree.storage import MEMBER_COLS, OUTLIER_PARTITION, PartitionStore
 from repro.retratree.tree import QuTResult, ReTraTree, _empty_members
+from repro.trace import Span
 from tests.conftest import TEST_PARAMS
 
 
@@ -320,13 +321,20 @@ def test_qut_rejects_bad_window(retratree):
 
 
 def test_qut_full_window_pure_reuse(retratree):
+    """A window covering every chunk is answered by partition reads alone:
+    ``reuse`` reads exactly the partitions the tree stores, and
+    ``recluster`` reads none and runs no S2T."""
     t_lo = min(c.t_lo for c in retratree.chunks.values())
     t_hi = max(c.t_hi for c in retratree.chunks.values())
     qr = retratree.qut(t_lo, t_hi)
     assert qr.n_partial == 0
     assert qr.n_full == len(retratree.chunks)
-    assert qr.timings["recluster"] == pytest.approx(0.0, abs=0.5)
-    assert len(qr.rows) > 0
+    reuse, recluster = qr.trace.child("reuse"), qr.trace.child("recluster")
+    assert recluster.counts.get("partitions_read", 0) == 0
+    assert "s2t" not in [c.name for c in recluster.children]
+    stored = sum(len(retratree.store.list_partitions(c)) for c in retratree.chunks)
+    assert reuse.counts["partitions_read"] == stored
+    assert reuse.counts["rows_read"] == len(qr.rows) > 0
 
 
 def test_qut_rows_within_window(retratree):
@@ -449,7 +457,7 @@ _TWO_ROWS = pd.DataFrame({
     (_TWO_ROWS, _labels([7, 7, 7, 3, 3], [1, 2, 3, 5, 6], [0, 0, 0, -1, -1])),
 ], ids=["empty", "two_rows"])
 def test_point_labels_rows_order_dtypes(rows, expected):
-    got = QuTResult(rows=rows, timings={}, n_full=0, n_partial=0).point_labels()
+    got = QuTResult(rows=rows, trace=Span("qut"), n_full=0, n_partial=0).point_labels()
     pd.testing.assert_frame_equal(got, expected)
 
 
@@ -486,7 +494,15 @@ def test_members_to_points_clips_to_window_and_keeps_rows_with_two_points(tmp_pa
 
 def test_baseline_timings_structure(spark, mod_points):
     br = qut_baseline(mod_points, 0.0, 3600.0, TEST_PARAMS)
-    for k in ("range_query", "index_build", "s2t_voting", "total"):
-        assert k in br.timings
+    phases = ["prepare", "voting", "segmentation", "sampling", "clustering"]
+    assert set(br.timings) == {"range_query", "index_build", "total",
+                               *(f"s2t_{k}" for k in [*phases, "total"])}
+    assert br.timings["total"] == pytest.approx(
+        br.timings["range_query"] + br.timings["index_build"] + br.timings["s2t_total"])
+    # the baseline's span holds its two steps, then S2T's span with its phases
+    assert [c.name for c in br.trace.children] == ["range_query", "index_build", "s2t"]
+    assert br.trace.child("s2t") is br.s2t.trace
+    assert [c.name for c in br.s2t.trace.children] == phases
+    assert br.trace.child("range_query").counts["rows"] == len(br.labels)
     assert br.rtree_nodes >= 1
     br.s2t.unpersist()
