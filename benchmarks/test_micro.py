@@ -2,8 +2,8 @@
 single and batched query, the closed-form voting kernel, the
 time-synchronized distance — the per-task inner loops whose cost
 Table A/B aggregate — in-process NaTS segmentation of a whole MOD, an
-in-process QuT that re-clusters two boundary slices, and the cost of one
-empty trace span."""
+in-process QuT that re-clusters two boundary slices, ReTraTree level-4
+partition IO, and the cost of one empty trace span."""
 import numpy as np
 import pytest
 
@@ -117,6 +117,28 @@ def test_bench_qut_boundary_inproc(benchmark, tmp_path):
 
     q = benchmark(lambda: tree.qut(0.5 * width, 1.5 * width))
     assert (q.n_full, q.n_partial, len(q.rows)) == (0, 2, 188)
+
+
+@pytest.mark.benchmark(group="micro-storage")
+def test_bench_partition_read_write(benchmark, tmp_path):
+    """Read, then rewrite, every level-4 partition of the 2-chunk tree of
+    the ``s2t_batch`` MOD (sf 0.1, seed 0): the mean divided by the
+    partition count is the IO cost of one partition."""
+    pdf = synth_data.trajectories_pdf(sf=0.1, seed=0)
+    width = float(np.ceil(pdf["t"].max() / 2 / 100.0) * 100.0)
+    tree = ReTraTree.build(None, pdf, tmp_path, S2TParams(sigma=1.0), chunk_width=width)
+    store = tree.store
+    parts = [(cid, name) for cid in sorted(tree.chunks) for name in store.list_partitions(cid)]
+
+    def run():
+        rows = 0
+        for cid, name in parts:
+            members = store.read(cid, name)
+            store.write(cid, name, members)
+            rows += len(members)
+        return rows
+
+    assert (len(parts), benchmark(run)) == (25, 321)
 
 
 @pytest.mark.benchmark(group="micro-trace")

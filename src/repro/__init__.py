@@ -15,7 +15,7 @@ Subpackages
     sampling, greedy clustering) and QuT-Clustering over ReTraTree.
 ``repro.retratree``
     The ReTraTree 4-level hierarchical index (temporal chunks ->
-    representative groups -> Parquet partitions with R-trees).
+    representative groups -> Arrow IPC partitions with R-trees).
 ``repro.baselines``
     Comparators from the demo scenarios: TRACLUS, T-OPTICS, Convoy
     discovery, and the range-query + rebuild + S2T QuT baseline.

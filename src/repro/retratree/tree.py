@@ -18,10 +18,10 @@ Mapping here:
 - **Level 3** — per chunk, the list of *representative sub-trajectories*
   (the in-memory part of the structure in Fig. 2) produced by running
   S2T-Clustering on the chunk.
-- **Level 4** — one Parquet partition per representative plus an
-  ``outliers`` partition per chunk (``repro.retratree.storage``); a
-  partition's pg3D-Rtree is bulk-loaded from its rows on demand, not
-  stored.
+- **Level 4** — one Arrow IPC partition (``chunk=<id>/<name>/data.arrow``)
+  per representative plus an ``outliers`` partition per chunk
+  (``repro.retratree.storage``); a partition's pg3D-Rtree is bulk-loaded
+  from its rows on demand, not stored.
 
 The incremental path of Fig. 2 is :meth:`ReTraTree.insert`: new
 trajectories are cut into per-chunk pieces, each assigned to an existing
