@@ -97,7 +97,7 @@ def test_bench_segmentation_inproc(benchmark):
     into sub-trajectories in the driver process."""
     p = S2TParams(sigma=1.0)
     pdf = synth_data.trajectories_pdf(sf=0.1, seed=0)
-    voted = vote_segments(points_to_segments(pdf), sigma=p.sigma, bucket_width=p.bucket_width)
+    voted = vote_segments(points_to_segments(pdf), sigma=p.sigma)
     assert (len(voted), voted["traj_id"].nunique()) == (8222, 124)
 
     subtrajs = benchmark(lambda: segment_trajectories(

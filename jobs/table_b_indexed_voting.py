@@ -1,4 +1,4 @@
-"""Table B job: indexed (GiST/pg3D-Rtree + temporal buckets) voting vs
+"""Table B job: indexed (one GiST/pg3D-Rtree index join) voting vs
 the unindexed nested-loop comparator, sweeping MOD size (preparatory
 phase's "orders of magnitude speedup" claim).
 

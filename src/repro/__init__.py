@@ -9,7 +9,8 @@ Subpackages
     SQL facade (``SELECT QUT(...)``).
 ``repro.index``
     GiST (generalized search tree) substrate and the pg3D-Rtree
-    instantiated on it, plus temporal bucketing utilities.
+    instantiated on it, plus the temporal bucketing the benchmark's
+    voting replay uses.
 ``repro.core``
     The paper's algorithms: S2T-Clustering (voting, segmentation,
     sampling, greedy clustering) and QuT-Clustering over ReTraTree.

@@ -8,7 +8,7 @@ and (iii) applying clustering (S2T-Clustering, in our case)."
 This module is exactly that pipeline, one span per step (``repro.trace``)
 so Table A can attribute the cost.  Step (ii) builds a pg3D-Rtree over
 the window's segment boxes — the index S2T's voting would use in Hermes;
-our Spark voting builds its per-bucket indexes inside the job, so this
+our Spark voting builds its index inside each voting task, so this
 up-front build is timed (it is part of the baseline's bill, as in the
 paper) and its tree is reported but not reused.
 """

@@ -12,7 +12,7 @@ Faithful pieces:
   characteristic point whenever the MDL cost of the simplification
   (``L(H) + L(D|H)``, with perpendicular + angular encoding costs)
   exceeds the no-partition cost.  Runs per trajectory in
-  ``applyInPandas`` (Spark side, like our voting).
+  ``applyInPandas`` (Spark side).
 - **Grouping** — DBSCAN over characteristic line segments with the
   TRACLUS 3-component distance (perpendicular, parallel, angular),
   purely spatial.  Driver side: the comparator's segment count is small.

@@ -15,9 +15,10 @@ representatives, cluster assignment and the run's trace, whose phase
 spans give the timing breakdown (:class:`S2TResult`).  The input
 type picks the engine of the NaTS phase; both run the same kernels:
 
-- a Spark DataFrame runs it as Spark jobs (``applyInPandas`` per voting
-  bucket, ``mod.model.by_trajectory`` per trajectory partition,
-  relational aggregation), caching and forcing each intermediate so
+- a Spark DataFrame runs it as Spark jobs (voting as one broadcast
+  index join, a ``mapInPandas`` over the segments' own partitions;
+  ``mod.model.by_trajectory`` per trajectory partition for segments and
+  segmentation), caching and forcing each intermediate so
   per-phase wall times are real (Table C reports them), then collects
   the sub-trajectory table for SaCO, from which :func:`point_labels`
   labels the points.  The batch paths use it: a whole MOD, the QuT
@@ -31,6 +32,7 @@ type picks the engine of the NaTS phase; both run the same kernels:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -51,7 +53,6 @@ class S2TParams:
 
     ``sigma`` — voting kernel bandwidth (km);
     ``cutoff`` — voting spatial cutoff, default 3*sigma;
-    ``bucket_width`` — temporal bucket width for the indexed voting (s);
     ``min_len``/``lam``/``max_gap`` — segmentation knobs;
     ``eps`` — clustering radius / sampling similarity bandwidth,
         default 3*sigma (QUT ``delta``);
@@ -60,11 +61,16 @@ class S2TParams:
     ``min_cluster_size`` — dissolve smaller clusters (QUT ``gamma``);
     ``n_samples``/``min_overlap`` — time-sync distance resolution and
         minimum common-time requirement.
+
+    ``bucket_width`` (s) is not a knob and not a constructor field: no
+    S2T path reads it.  Only the benchmark's voting replay
+    (``hermesbench/layers.py`` ``replay_voting``) does, to bucket the
+    segments it re-votes on the driver.
     """
 
     sigma: float = 1.0
     cutoff: float | None = None
-    bucket_width: float = 300.0
+    bucket_width: ClassVar[float] = 300.0
     min_len: int = 4
     lam: float = 12.0
     max_gap: float = 120.0
@@ -140,9 +146,7 @@ def s2t_clustering(
         with span("prepare"):
             segments = _materialise(points_to_segments(points))
         with span("voting"):
-            voted = _materialise(vote_segments(
-                segments, sigma=p.sigma, cutoff=p.cutoff, bucket_width=p.bucket_width
-            ))
+            voted = _materialise(vote_segments(segments, sigma=p.sigma, cutoff=p.cutoff))
         with span("segmentation"):
             subtrajs = _materialise(segment_trajectories(
                 voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap

@@ -163,7 +163,7 @@ def run_table_b(
         seg = points_to_segments(pts).cache()
         n_seg = seg.count()
         with span("indexed") as indexed:
-            vi_pdf = vote_segments(seg, sigma=p.sigma, bucket_width=p.bucket_width).toPandas()
+            vi_pdf = vote_segments(seg, sigma=p.sigma).toPandas()
         with span("naive") as naive:
             vn_pdf = vote_segments_naive(seg, sigma=p.sigma).toPandas()
         indexed_s, naive_s = indexed.seconds, naive.seconds

@@ -95,7 +95,7 @@ def str_order(boxes: np.ndarray, leaf_size: int) -> np.ndarray:
 class Rtree3D:
     """The pg3D-Rtree: a thin trajectory-flavoured wrapper over GiST.
 
-    ``bulk_load`` STR-packs boxes (voting's per-bucket index, and a
+    ``bulk_load`` STR-packs boxes (voting's index of the whole MOD, and a
     level-4 partition's index, built from its rows on demand by
     ``PartitionStore.read_rtree``); ``insert`` routes single boxes
     through GiST's ``penalty``/``picksplit`` callbacks; ``query_box``

@@ -1,14 +1,13 @@
-"""Temporal bucketing — the Spark-side partitioning for the voting phase.
+"""Temporal bucketing of segments, kept for the benchmark's voting replay.
 
-Hermes evaluates voting inside the DBMS with index support; the PySpark
-equivalent distributes the work by slicing time into fixed-width buckets
-so that any two temporally-overlapping segments share at least one
-bucket.  Each bucket group is then processed by one `applyInPandas`
-task that builds a pg3D-Rtree over its segments (see
-``repro.core.voting``).  A segment spanning a bucket boundary is
-replicated into every bucket it overlaps (``explode``), and the
-per-(segment, voter) vote is later de-duplicated with a global ``max``
-aggregation — the relational step the DuckDB oracle checks.
+No S2T path uses it: voting is one index join over the whole MOD
+(``repro.core.voting``).  ``hermesbench/layers.py`` ``replay_voting``
+buckets the segments with it (``S2TParams.bucket_width`` wide) and
+re-votes each bucket on the driver with the self-join kernel, then
+de-duplicates by max per (segment, voter).  Slicing time into buckets
+keeps any two temporally-overlapping segments in at least one common
+bucket: a segment spanning a boundary is replicated into every bucket it
+overlaps (``explode``).
 """
 from __future__ import annotations
 

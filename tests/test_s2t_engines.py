@@ -1,7 +1,7 @@
 """S2T's two engines agree: a Spark DataFrame runs the phases as Spark
 jobs, a pandas frame runs the same kernels in the driver process.  Both
-must give the same segments, sub-trajectory polylines, representatives
-and clusters; votes may differ only by summation order."""
+must give the same segments, votes, sub-trajectory polylines,
+representatives and clusters, bit for bit."""
 from __future__ import annotations
 
 import numpy as np
@@ -31,14 +31,14 @@ def assert_same_run(local, dist) -> None:
 
     lv, dv = _sorted(local.voted, SEG_KEY), _sorted(dist.voted, SEG_KEY)
     pd.testing.assert_frame_equal(lv[SEGMENT_COLS], dv[SEGMENT_COLS])
-    np.testing.assert_allclose(lv["vote"], dv["vote"], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(lv["vote"], dv["vote"])
 
     ls, ds = local.sub_pdf, dist.sub_pdf
     cols = ["traj_id", "subtraj_id", "t_start", "t_end", "n_segs"]
     pd.testing.assert_frame_equal(ls[cols], ds[cols])
     for c in ("ts", "xs", "ys"):
         assert all(np.array_equal(a, b) for a, b in zip(ls[c], ds[c])), c
-    np.testing.assert_allclose(ls["sum_vote"], ds["sum_vote"], rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(ls["sum_vote"], ds["sum_vote"])
 
     assert [(r.traj_id, r.subtraj_id) for r in local.reps] == [
         (r.traj_id, r.subtraj_id) for r in dist.reps]

@@ -1,6 +1,6 @@
 """Voting phase: the indexed (GiST/pg3D-Rtree) path must produce exactly
-the votes of the naive nested loop, under any bucketing; the relational
-aggregation is oracle-checked against DuckDB."""
+the votes of the naive nested loop, however the segments are partitioned;
+the max-per-voter and sum steps are oracle-checked against DuckDB."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,9 +8,10 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import voting
 from repro.core.voting import (
-    CUTOFF_SIGMAS, _bucket_votes, _pairs_to_votes, _seg_matrix,
-    vote_segments, vote_segments_naive,
+    CUTOFF_SIGMAS, _bucket_votes, _join_votes, _max_per_voter, _pairs_to_votes,
+    _seg_matrix, vote_segments, vote_segments_naive,
 )
 from repro.mod.model import make_points_df, points_to_segments
 from repro.oracle import assert_equivalent
@@ -25,11 +26,66 @@ def _sorted_votes(df) -> np.ndarray:
     )
 
 
+def test_indexed_equals_naive_any_partitioning(segments):
+    """Each Spark partition votes its own rows against the whole table, so
+    the votes do not depend on how the segments are spread: 1, 3 and 8
+    partitions by the parity of ``seg_id`` (each trajectory split in two,
+    some partitions empty) give bit-equal votes, those of the in-process
+    engine, and equal to the naive scan's."""
+    sizes, runs = [], []
+    for n in (1, 3, 8):
+        part = segments.repartition(n, F.col("seg_id") % 2)
+        sizes += part.rdd.glom().map(len).collect()
+        runs.append(_sorted_votes(vote_segments(part, sigma=1.0)))
+    assert min(sizes) == 0
+    local = vote_segments(segments.toPandas(), sigma=1.0)
+    want = local.sort_values(["traj_id", "seg_id"])["vote"].to_numpy()
+    for got in runs:
+        np.testing.assert_array_equal(got, want)
+    vn = _sorted_votes(vote_segments_naive(segments, sigma=1.0))
+    np.testing.assert_allclose(want, vn, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("bucket_width", [120.0, 300.0, 1000.0, 10_000.0])
 def test_indexed_equals_naive_any_bucketing(segments, bucket_width):
-    vi = _sorted_votes(vote_segments(segments, sigma=1.0, bucket_width=bucket_width))
+    """Segments partitioned by temporal bucket of their start time, so
+    each task holds one slice of time and votes it against the whole
+    table: any width gives the in-process votes bit for bit, equal to
+    the naive scan's."""
+    part = segments.repartition(F.floor(F.col("t1") / bucket_width))
+    vi = _sorted_votes(vote_segments(part, sigma=1.0))
+    local = vote_segments(segments.toPandas(), sigma=1.0)
+    np.testing.assert_array_equal(
+        vi, local.sort_values(["traj_id", "seg_id"])["vote"].to_numpy())
     vn = _sorted_votes(vote_segments_naive(segments, sigma=1.0))
     np.testing.assert_allclose(vi, vn, atol=1e-9)
+
+
+def test_query_blocks_leave_the_pairs_unchanged(mod_pdf, monkeypatch):
+    """The kernel queries and scores its segments in blocks; blocks of 7
+    give the pair frame of one block holding every segment."""
+    seg = points_to_segments(mod_pdf[["traj_id", "t", "x", "y"]])
+    cutoff = CUTOFF_SIGMAS * 1.0
+    monkeypatch.setattr(voting, "_QUERY_BLOCK", len(seg))
+    whole = _bucket_votes(seg, 1.0, cutoff)
+    monkeypatch.setattr(voting, "_QUERY_BLOCK", 7)
+    blocked = _bucket_votes(seg, 1.0, cutoff)
+    assert len(whole) > 0
+    assert blocked.equals(whole)
+
+
+def _exchanges(df) -> int:
+    """``Exchange`` nodes in the physical plan of ``df``, read from a new
+    projection: once a frame has run, its adaptive plan prints both its
+    initial and its final form."""
+    plan = df.select("*")._jdf.queryExecution().executedPlan().toString()
+    return plan.count("Exchange")
+
+
+def test_spark_voting_adds_no_shuffle(segments):
+    """Spark voting is one narrow ``mapInPandas`` over the segments' own
+    partitions: its plan has no ``Exchange`` beyond those of ``segments``."""
+    assert _exchanges(vote_segments(segments, sigma=1.0)) == _exchanges(segments)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -131,8 +187,10 @@ def test_time_shift_kills_votes(spark):
 
 
 def test_vote_aggregation_matches_sql(spark):
-    """The max-per-(segment, voter) then sum-over-voters relational step,
-    oracle-checked: hand-built pair votes aggregated identically."""
+    """The voting kernel's relational steps, max per (segment, voter)
+    (``_max_per_voter``) then the sum over voters left-joined onto the
+    segments (``_join_votes``), oracle-checked: hand-built pair votes
+    through them equal the SQL, and an unvoted segment reads 0."""
     pair = pd.DataFrame(
         {
             "traj_id": [1, 1, 1, 1, 2, 2],
@@ -141,20 +199,19 @@ def test_vote_aggregation_matches_sql(spark):
             "vote": [0.5, 0.9, 0.4, 1.0, 0.3, 0.2],
         }
     )
-    df = spark.createDataFrame(pair)
-    got = (
-        df.groupBy("traj_id", "seg_id", "voter")
-        .agg(F.max("vote").alias("vote"))
-        .groupBy("traj_id", "seg_id")
-        .agg(F.sum("vote").alias("vote"))
-    )
+    seg = pd.DataFrame({"traj_id": [1, 1, 2, 3], "seg_id": [0, 1, 0, 0]}).assign(
+        t1=0.0, x1=0.0, y1=0.0, t2=1.0, x2=0.0, y2=0.0)
+    got = _join_votes(seg, _max_per_voter(pair))[["traj_id", "seg_id", "vote"]]
     assert_equivalent(
-        got,
-        "SELECT traj_id, seg_id, sum(vote) AS vote FROM ("
-        "  SELECT traj_id, seg_id, voter, max(vote) AS vote"
-        "  FROM pair GROUP BY traj_id, seg_id, voter"
-        ") GROUP BY traj_id, seg_id",
-        pair=pair,
+        spark.createDataFrame(got),
+        "SELECT s.traj_id, s.seg_id, coalesce(v.vote, 0.0) AS vote FROM seg s"
+        " LEFT JOIN ("
+        "  SELECT traj_id, seg_id, sum(vote) AS vote FROM ("
+        "    SELECT traj_id, seg_id, voter, max(vote) AS vote"
+        "    FROM pair GROUP BY traj_id, seg_id, voter"
+        "  ) GROUP BY traj_id, seg_id"
+        " ) v ON s.traj_id = v.traj_id AND s.seg_id = v.seg_id",
+        pair=pair, seg=seg,
     )
 
 
